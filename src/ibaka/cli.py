@@ -129,15 +129,10 @@ def _cmd_demo(args) -> int:
 
 def _cmd_attack(args) -> int:
     curve = _resolve_curve(args.curve)
-    variant = Variant(args.variant)
-    if args.kind == "replay":
-        report = run_replay_attack(
-            args.seed, variant, args.delay, window=args.window, curve=curve
-        )
-    else:
-        report = run_ephemeral_compromise_attack(
-            args.seed, variant, args.delay, window=args.window, curve=curve
-        )
+    runner = {"replay": run_replay_attack, "ephemeral": run_ephemeral_compromise_attack}
+    report = runner[args.kind](
+        args.seed, Variant(args.variant), args.delay, window=args.window, curve=curve
+    )
     _emit(report.to_json(), args.output)
     if args.expect is not None and report.outcome.name.lower() != args.expect:
         print(
@@ -165,30 +160,36 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
+def _check(condition: bool):
+    """A selftest assertion that still runs under python -O."""
+    if not condition:
+        raise AssertionError
+
+
 def _selftest_checks():
     """Small deterministic versions of the library invariants."""
     curve = TOY_CURVE
 
     def group_laws():
         points = curve.points()
-        assert len(points) == curve.q
+        _check(len(points) == curve.q)
         for u in points:
             for v in points:
-                assert curve.add(u, v) == curve.add(v, u)
+                _check(curve.add(u, v) == curve.add(v, u))
         for u in points:
-            assert curve.add(u, curve.negate(u)).is_identity
+            _check(curve.add(u, curve.negate(u)).is_identity)
 
     def scalar_mul_oracle():
         for u in curve.points():
             running = curve.mul(0, u)
-            assert running.is_identity
+            _check(running.is_identity)
             for k in range(1, 2 * curve.q):
                 running = curve.add(running, u)
-                assert curve.mul(k, u) == running
+                _check(curve.mul(k, u) == running)
 
     def point_codec():
         for u in curve.points():
-            assert curve.decode_point(curve.encode_point(u)) == u
+            _check(curve.decode_point(curve.encode_point(u)) == u)
 
     def signature_round_trip():
         for variant in Variant:
@@ -199,33 +200,33 @@ def _selftest_checks():
                 y = rng.scalar(curve.q)
                 Y = curve.mul(y, curve.gen)
                 sig, _ = sign(keys, sim.CLIENT_ID, Y, 100, variant, rng)
-                assert verify_signature(
+                _check(verify_signature(
                     curve, sig, keys.identity, sim.CLIENT_ID, Y, 100,
                     master.public, variant,
-                )
+                ))
 
     def honest_exchanges():
         for variant in Variant:
             for order in MessageOrder:
                 for seed in range(1, 6):
                     result = run_honest_exchange(seed, variant, order)
-                    assert result.keys_equal
+                    _check(result.keys_equal)
 
     def replay_matrix():
         for seed in range(1, 6):
-            assert run_replay_attack(seed, Variant.FLAWED).outcome is Outcome.SUCCEEDED
+            _check(run_replay_attack(seed, Variant.FLAWED).outcome is Outcome.SUCCEEDED)
             fixed = run_replay_attack(seed, Variant.FIXED)
-            assert fixed.outcome is Outcome.DEFEATED
-            assert fixed.reason == BadSignature.__name__
+            _check(fixed.outcome is Outcome.DEFEATED)
+            _check(fixed.reason == BadSignature.__name__)
             stale = run_replay_attack(seed, Variant.FIXED, rewrite_timestamp=False)
-            assert stale.reason == StaleTimestamp.__name__
+            _check(stale.reason == StaleTimestamp.__name__)
 
     def ephemeral_matrix():
         for seed in range(1, 6):
             flawed = run_ephemeral_compromise_attack(seed, Variant.FLAWED)
-            assert flawed.keys_match and flawed.outcome is Outcome.SUCCEEDED
+            _check(flawed.keys_match and flawed.outcome is Outcome.SUCCEEDED)
             fixed = run_ephemeral_compromise_attack(seed, Variant.FIXED)
-            assert not fixed.keys_match and fixed.outcome is Outcome.DEFEATED
+            _check(not fixed.keys_match and fixed.outcome is Outcome.DEFEATED)
 
     def message_codec():
         for seed in range(1, 26):
@@ -234,7 +235,7 @@ def _selftest_checks():
             keys = extract_key(master, sim.SERVER_ID, rng)
             msg, _ = build_message(keys, sim.CLIENT_ID, 100, Variant.FIXED, rng)
             wire = encode_message(curve, msg)
-            assert decode_message(curve, wire) == msg
+            _check(decode_message(curve, wire) == msg)
             try:
                 decode_message(curve, wire[:-1])
             except MalformedMessage:

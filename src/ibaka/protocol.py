@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .group import Curve, MalformedEncoding, Point
+from .group import Curve, MalformedEncoding, Point, PointNotOnCurve
 from .ibs import (
     DIGEST_SIZE,
     InvalidIdentity,
@@ -63,6 +63,10 @@ class BadSignature(ProtocolError):
 
 
 class MalformedMessage(ProtocolError):
+    pass
+
+
+class OffCurvePoint(MalformedMessage, PointNotOnCurve):
     pass
 
 
@@ -180,25 +184,26 @@ def encode_message(curve: Curve, msg: ProtocolMessage) -> bytes:
     return bytes([WIRE_VERSION]) + b"".join(_length_prefixed(f) for f in fields)
 
 
-def _read_fields(data: bytes, count: int) -> list[bytes]:
+def _field_spans(data: bytes) -> list[tuple[int, int]]:
+    """(start, end) of the six fields; the only code that reads the framing."""
     if not data:
         raise MalformedMessage("empty message")
     if data[0] != WIRE_VERSION:
         raise MalformedMessage(f"unsupported version byte {data[0]:#04x}")
-    fields = []
+    spans = []
     pos = 1
-    for _ in range(count):
+    for _ in range(6):
         if pos + 2 > len(data):
             raise MalformedMessage("truncated length prefix")
         length = int.from_bytes(data[pos:pos + 2], "big")
         pos += 2
         if pos + length > len(data):
             raise MalformedMessage("truncated field")
-        fields.append(data[pos:pos + length])
+        spans.append((pos, pos + length))
         pos += length
     if pos != len(data):
         raise MalformedMessage("trailing bytes after final field")
-    return fields
+    return spans
 
 
 def _decode_wire_point(curve: Curve, raw: bytes, what: str) -> Point:
@@ -206,6 +211,8 @@ def _decode_wire_point(curve: Curve, raw: bytes, what: str) -> Point:
         point = curve.decode_point(raw)
     except MalformedEncoding as exc:
         raise MalformedMessage(f"{what}: {exc}") from exc
+    except PointNotOnCurve as exc:
+        raise OffCurvePoint(f"{what}: {exc}") from exc
     if point.is_identity:
         raise MalformedMessage(f"{what} must not be the identity")
     return point
@@ -215,10 +222,10 @@ def decode_message(curve: Curve, data: bytes) -> ProtocolMessage:
     """Strict inverse of encode_message.
 
     Rejects wrong version, truncation, trailing bytes, out-of-range scalars,
-    identity points, and invalid identities.  Off-curve points surface as
-    PointNotOnCurve from the point codec.
+    identity points, and invalid identities with MalformedMessage; off-curve
+    points with OffCurvePoint, which is also a PointNotOnCurve.
     """
-    raw_id, raw_y, raw_h, raw_mu, raw_r, raw_t = _read_fields(data, 6)
+    raw_id, raw_y, raw_h, raw_mu, raw_r, raw_t = (data[a:b] for a, b in _field_spans(data))
     try:
         sender_id = raw_id.decode("utf-8")
     except UnicodeDecodeError:

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .group import Curve, Point, TOY_CURVE
-from .ibs import EntityKeyPair, Variant, extract_key, pkg_setup
+from .ibs import EntityKeyPair, Variant, extract_key, pkg_setup, ticks_to_bytes
 from .protocol import (
     DEFAULT_WINDOW,
     MalformedMessage,
     ProtocolError,
     VerifiedPeer,
+    _field_spans,
     build_message,
     decode_message,
     derive_session_key,
@@ -171,14 +172,13 @@ class Adversary:
     def rewrite_timestamp(wire: bytes, new_ticks: int) -> bytes:
         """Overwrite the trailing timestamp field by byte surgery.
 
-        Works on raw bytes without decoding: the format pins the timestamp
-        as the final length-prefixed 8-byte field.
+        Works on raw bytes without decoding the field contents: the codec's
+        framing locates the final field, which must be the 8-byte timestamp.
         """
-        if len(wire) < 10 or wire[-10:-8] != (8).to_bytes(2, "big"):
+        start, end = _field_spans(wire)[-1]
+        if end - start != 8:
             raise MalformedMessage("trailing timestamp field not found")
-        if not 0 <= new_ticks < 1 << 64:
-            raise ValueError("timestamp ticks outside unsigned 64-bit range")
-        return wire[:-8] + new_ticks.to_bytes(8, "big")
+        return wire[:start] + ticks_to_bytes(new_ticks)
 
     def compute_session_key(self) -> bytes:
         """Session key from the granted ephemeral plus two captured wires.
@@ -239,8 +239,9 @@ class AttackReport:
     transcript: Transcript = field(repr=False)
 
     def __post_init__(self):
-        if self.keys_match:
-            assert self.attacker_key is not None and self.attacker_key == self.victim_key
+        matched = self.attacker_key is not None and self.attacker_key == self.victim_key
+        if self.keys_match and not matched:
+            raise ValueError("keys_match requires equal attacker and victim keys")
 
     def to_dict(self) -> dict:
         return {
@@ -339,11 +340,61 @@ def run_honest_exchange(
     return ExchangeResult(variant, message_order, server_key, client_key, transcript)
 
 
-def _attack_roles(server: Party, client: Party, impersonate: Role):
-    """The impersonated party sends the intercepted message; the other verifies."""
-    if impersonate is Role.SERVER:
-        return server, client
-    return client, server
+def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate):
+    """The one attack script behind both runners.
+
+    Intercept, wait, optionally rewrite t, replay; if the victim accepts, it
+    responds and derives a key.  EPHEMERAL_COMPROMISE adds two steps: the
+    adversary is granted the sent ephemeral and later captures the response,
+    and it derives its own key, succeeding only if that equals the victim's.
+    """
+    compromise = kind is AttackKind.EPHEMERAL_COMPROMISE
+    clock = LogicalClock()
+    rng, server, client = _setup(seed, variant, window, curve, clock)
+    # The impersonated party sends the intercepted message; the other verifies.
+    impersonated, victim = (server, client) if impersonate is Role.SERVER else (client, server)
+    transcript = Transcript()
+    adversary = Adversary(curve, impersonating=impersonate)
+
+    wire, y_sent = _send(transcript, impersonated, victim.id, rng)
+    adversary.intercept(wire)
+    if compromise:
+        adversary.grant_ephemeral(y_sent)
+    transcript.record(clock.now, ADVERSARY, "INTERCEPT", wire)
+
+    clock.advance(delay)
+    replay_wire = wire
+    if rewrite:
+        replay_wire = adversary.rewrite_timestamp(wire, clock.now)
+        transcript.record(clock.now, ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
+    transcript.record(clock.now, ADVERSARY, "REPLAY", replay_wire)
+
+    try:
+        accepted = _deliver(transcript, victim, replay_wire)
+    except ProtocolError as exc:
+        return AttackReport(
+            kind, variant, Outcome.DEFEATED, type(exc).__name__, None, None, False, transcript
+        )
+
+    # The victim believes the session is live: it responds and derives a key.
+    response_wire, y_victim = _send(transcript, victim, accepted.peer_id, rng)
+    if compromise:
+        adversary.intercept(response_wire)
+        transcript.record(clock.now, ADVERSARY, "INTERCEPT", response_wire)
+    victim_key = _derive(transcript, victim, accepted, y_victim)
+    if not compromise:
+        return AttackReport(
+            kind, variant, Outcome.SUCCEEDED, None, None, victim_key, False, transcript
+        )
+
+    attacker_key = adversary.compute_session_key()
+    transcript.record(clock.now, ADVERSARY, "DERIVE_KEY", attacker_key)
+    keys_match = attacker_key == victim_key
+    outcome = Outcome.SUCCEEDED if keys_match else Outcome.DEFEATED
+    reason = None if keys_match else "SessionKeyMismatch"
+    return AttackReport(
+        kind, variant, outcome, reason, attacker_key, victim_key, keys_match, transcript
+    )
 
 
 def run_replay_attack(
@@ -363,37 +414,8 @@ def run_replay_attack(
     """
     if delay <= window:
         raise ValueError("delay must exceed the freshness window")
-    clock = LogicalClock()
-    rng, server, client = _setup(seed, variant, window, curve, clock)
-    impersonated, victim = _attack_roles(server, client, impersonate)
-    transcript = Transcript()
-    adversary = Adversary(curve, impersonating=impersonate)
-
-    wire, _ = _send(transcript, impersonated, victim.id, rng)
-    adversary.intercept(wire)
-    transcript.record(clock.now, ADVERSARY, "INTERCEPT", wire)
-
-    clock.advance(delay)
-    replay_wire = wire
-    if rewrite_timestamp:
-        replay_wire = adversary.rewrite_timestamp(wire, clock.now)
-        transcript.record(clock.now, ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
-    transcript.record(clock.now, ADVERSARY, "REPLAY", replay_wire)
-
-    try:
-        accepted = _deliver(transcript, victim, replay_wire)
-    except ProtocolError as exc:
-        return AttackReport(
-            AttackKind.REPLAY, variant, Outcome.DEFEATED, type(exc).__name__,
-            None, None, False, transcript,
-        )
-
-    # The victim believes the session is live: it responds and derives a key.
-    _, y_victim = _send(transcript, victim, accepted.peer_id, rng)
-    victim_key = _derive(transcript, victim, accepted, y_victim)
-    return AttackReport(
-        AttackKind.REPLAY, variant, Outcome.SUCCEEDED, None,
-        None, victim_key, False, transcript,
+    return _run_attack(
+        AttackKind.REPLAY, seed, variant, delay, window, curve, rewrite_timestamp, impersonate
     )
 
 
@@ -415,43 +437,8 @@ def run_ephemeral_compromise_attack(
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")
-    clock = LogicalClock()
-    rng, server, client = _setup(seed, variant, window, curve, clock)
-    impersonated, victim = _attack_roles(server, client, impersonate)
-    transcript = Transcript()
-    adversary = Adversary(curve, impersonating=impersonate)
-
-    wire, y_leaked = _send(transcript, impersonated, victim.id, rng)
-    adversary.intercept(wire)
-    adversary.grant_ephemeral(y_leaked)
-    transcript.record(clock.now, ADVERSARY, "INTERCEPT", wire)
-
-    clock.advance(delay)
-    replay_wire = adversary.rewrite_timestamp(wire, clock.now)
-    transcript.record(clock.now, ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
-    transcript.record(clock.now, ADVERSARY, "REPLAY", replay_wire)
-
-    try:
-        accepted = _deliver(transcript, victim, replay_wire)
-    except ProtocolError as exc:
-        return AttackReport(
-            AttackKind.EPHEMERAL_COMPROMISE, variant, Outcome.DEFEATED,
-            type(exc).__name__, None, None, False, transcript,
-        )
-
-    response_wire, y_victim = _send(transcript, victim, accepted.peer_id, rng)
-    adversary.intercept(response_wire)
-    transcript.record(clock.now, ADVERSARY, "INTERCEPT", response_wire)
-    victim_key = _derive(transcript, victim, accepted, y_victim)
-    attacker_key = adversary.compute_session_key()
-    transcript.record(clock.now, ADVERSARY, "DERIVE_KEY", attacker_key)
-
-    keys_match = attacker_key == victim_key
-    outcome = Outcome.SUCCEEDED if keys_match else Outcome.DEFEATED
-    reason = None if keys_match else "SessionKeyMismatch"
-    return AttackReport(
-        AttackKind.EPHEMERAL_COMPROMISE, variant, outcome, reason,
-        attacker_key, victim_key, keys_match, transcript,
+    return _run_attack(
+        AttackKind.EPHEMERAL_COMPROMISE, seed, variant, delay, window, curve, True, impersonate
     )
 
 
@@ -464,25 +451,6 @@ class TamperField(Enum):
     MU = 3
     R = 4
     T = 5
-
-
-def _field_spans(wire: bytes) -> list[tuple[int, int]]:
-    if not wire:
-        raise MalformedMessage("empty message")
-    spans = []
-    pos = 1
-    for _ in range(6):
-        if pos + 2 > len(wire):
-            raise MalformedMessage("truncated length prefix")
-        length = int.from_bytes(wire[pos:pos + 2], "big")
-        pos += 2
-        if pos + length > len(wire):
-            raise MalformedMessage("truncated field")
-        spans.append((pos, pos + length))
-        pos += length
-    if pos != len(wire):
-        raise MalformedMessage("trailing bytes after final field")
-    return spans
 
 
 def tamper_field(wire: bytes, field: TamperField, byte_index: int, xor_mask: int) -> bytes:
