@@ -14,6 +14,7 @@ import sys
 from .group import Curve, CurveParameterError, TOY_CURVE, load_curve_file
 from .ibs import Variant, extract_key, pkg_setup, sign, verify_signature
 from .protocol import (
+    DEFAULT_WINDOW,
     BadSignature,
     MalformedMessage,
     StaleTimestamp,
@@ -46,31 +47,27 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_run_options(parser, *, delay=False, expect=False):
-    parser.add_argument(
-        "--variant", choices=[v.value for v in Variant], default=Variant.FLAWED.value,
-        help="protocol variant (default: flawed)",
-    )
-    parser.add_argument("--seed", type=_u64, default=1, help="run seed (default: 1)")
-    parser.add_argument(
-        "--window", type=_non_negative, default=10,
-        help="freshness window in ticks (default: 10)",
-    )
-    if delay:
-        parser.add_argument(
-            "--delay", type=_non_negative, default=1000,
-            help="ticks between interception and replay (default: 1000)",
-        )
-    parser.add_argument(
-        "--curve", default="TOY",
-        help="TOY or path to a curve-parameter file (default: TOY)",
-    )
-    parser.add_argument("--output", default=None, help="write the report to a file")
-    if expect:
-        parser.add_argument(
-            "--expect", choices=["succeeded", "defeated"],
-            help="exit 1 unless the attack outcome matches",
-        )
+# Every option, declared once; subcommands pick theirs by name in help order.
+_OPTIONS = {
+    "variant": dict(choices=[v.value for v in Variant], default=Variant.FLAWED.value,
+                    help="protocol variant (default: flawed)"),
+    "seed": dict(type=_u64, default=1, help="run seed (default: 1)"),
+    "window": dict(type=_non_negative, default=DEFAULT_WINDOW,
+                   help="freshness window in ticks (default: %(default)s)"),
+    "delay": dict(type=_non_negative, default=sim.DEFAULT_DELAY,
+                  help="ticks between interception and replay (default: %(default)s)"),
+    "id": dict(default=sim.SERVER_ID, help="identity to extract"),
+    "curve": dict(default="TOY", help="TOY or path to a curve-parameter file (default: TOY)"),
+    "output": dict(default=None, help="write the report to a file"),
+    "expect": dict(choices=["succeeded", "defeated"],
+                   help="exit 1 unless the attack outcome matches"),
+}
+
+
+def _add_options(parser, *names, **overrides):
+    """Add the named _OPTIONS; a keyword argument per name overrides its fields."""
+    for name in names:
+        parser.add_argument(f"--{name}", **{**_OPTIONS[name], **overrides.get(name, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,25 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     demo = commands.add_parser("demo", help="run one honest exchange")
-    _add_run_options(demo)
+    _add_options(demo, "variant", "seed", "window", "curve", "output")
 
     attack = commands.add_parser("attack", help="run a man-in-the-middle script")
     attack.add_argument("kind", choices=["replay", "ephemeral"])
-    _add_run_options(attack, delay=True, expect=True)
+    _add_options(attack, "variant", "seed", "window", "delay", "curve", "output", "expect")
 
     selftest = commands.add_parser("selftest", help="run the invariant suites")
-    selftest.add_argument("--output", default=None, help="write the report to a file")
+    _add_options(selftest, "output")
 
     keygen = commands.add_parser(
         "keygen", help="PKG setup plus key extraction, written as a key file"
     )
-    keygen.add_argument("--seed", type=_u64, default=1, help="run seed (default: 1)")
-    keygen.add_argument("--id", default="server-1", help="identity to extract")
-    keygen.add_argument(
-        "--curve", default="TOY",
-        help="TOY or path to a curve-parameter file (default: TOY)",
+    _add_options(
+        keygen, "seed", "id", "curve", "output", output={"help": "write the key file here"}
     )
-    keygen.add_argument("--output", default=None, help="write the key file here")
     return parser
 
 

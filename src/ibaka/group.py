@@ -1,8 +1,8 @@
 """Short-Weierstrass elliptic-curve arithmetic over a prime field.
 
-Affine coordinates with extended-Euclid inversion throughout: the goal is
-auditability, not speed.  The group order is called ``q`` everywhere and is
-always distinct from the field modulus ``p``.
+Affine coordinates with the builtin ``pow(value, -1, p)`` inversion
+throughout: the goal is auditability, not speed.  The group order is called
+``q`` everywhere and is always distinct from the field modulus ``p``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class Point:
 
 IDENTITY = Point(None, None)
 
-# Curves at or above this field size skip exhaustive point enumeration.
+# Below this field size the cofactor-1 check counts every point; at or above
+# it the Hasse bound proves the count instead.
 EXHAUSTIVE_CHECK_BOUND = 1 << 16
 
 MILLER_RABIN_ROUNDS = 64
@@ -74,7 +75,7 @@ MILLER_RABIN_ROUNDS = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with bases derived by hashing n, so results are stable."""
     if n < 2:
         return False
@@ -89,7 +90,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
         d //= 2
         s += 1
     n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    for i in range(rounds):
+    for i in range(MILLER_RABIN_ROUNDS):
         seed = hashlib.sha256(b"miller-rabin" + i.to_bytes(4, "big") + n_bytes).digest()
         base = int.from_bytes(seed, "big") % (n - 3) + 2
         x = pow(base, d, n)
@@ -105,16 +106,11 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 
 def mod_inverse(value: int, modulus: int) -> int:
-    """Inverse of value mod modulus via extended Euclid."""
-    r0, r1 = modulus, value % modulus
-    t0, t1 = 0, 1
-    while r1 != 0:
-        quotient = r0 // r1
-        r0, r1 = r1, r0 - quotient * r1
-        t0, t1 = t1, t0 - quotient * t1
-    if r0 != 1:
-        raise ZeroDivisionError(f"{value} is not invertible mod {modulus}")
-    return t0 % modulus
+    """Inverse of value mod modulus; ZeroDivisionError when none exists."""
+    try:
+        return pow(value, -1, modulus)
+    except ValueError:
+        raise ZeroDivisionError(f"{value} is not invertible mod {modulus}") from None
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,8 @@ class Curve:
     """Curve y^2 = x^3 + ax + b over F_p with generator (gx, gy) of prime order q.
 
     Construct through validate_params / load_curve_file so the invariants
-    (prime p, non-singular equation, generator on curve with order q) hold.
+    (prime p, non-singular equation, generator on curve with order q,
+    cofactor 1) hold.
     """
 
     p: int
@@ -239,10 +236,12 @@ class Curve:
 def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     """Check a raw parameter set and return the usable Curve.
 
-    Small curves (p below 2^16) get exhaustive verification: the whole point
-    set is enumerated and the generator is walked step by step to confirm its
-    order is exactly q.  Larger curves get q*gen == identity plus a 64-round
-    probabilistic primality check on q.
+    One rule for every field size: q is prime (64-round Miller-Rabin), the
+    cofactor is 1 and q*gen is the identity.  The cofactor is proved by an
+    exact point count when p < 2^16 and otherwise by the Hasse bound
+    #E <= p + 1 + 2*sqrt(p): when 2q exceeds it, q is the whole group.  With
+    cofactor 1 every on-curve point lies in <gen>, so decode_point's
+    on-curve check is a complete point validation.
     """
     if p <= 3 or not is_probable_prime(p):
         raise NonPrimeModulus(f"field modulus {p} is not an odd prime > 3")
@@ -259,18 +258,14 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
         raise WrongOrder(f"group order {q} is not prime")
     if p < EXHAUSTIVE_CHECK_BOUND:
         total = len(curve.points())
-        order = 1
-        acc = curve.gen
-        while not acc.is_identity:
-            acc = curve.add(acc, curve.gen)
-            order += 1
-            if order > total:
-                raise WrongOrder("generator does not cycle within the point count")
-        if order != q:
-            raise WrongOrder(f"generator has order {order}, expected {q}")
+        if total != q:
+            raise WrongOrder(f"curve has {total} points, not the prime order {q}")
     else:
-        if not curve.mul(q, curve.gen).is_identity:
-            raise WrongOrder("q * gen is not the identity")
+        margin = 2 * q - p - 1
+        if margin <= 0 or margin * margin <= 4 * p:
+            raise WrongOrder(f"order {q} is too small to prove cofactor 1")
+    if not curve.mul(q, curve.gen).is_identity:
+        raise WrongOrder("q * gen is not the identity")
     return curve
 
 

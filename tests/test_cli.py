@@ -158,6 +158,14 @@ class TestUsageErrors:
         assert code == 2
         assert "prime" in err
 
+    def test_cofactor_curve_file(self, capsys, tmp_path):
+        # 24 points on y^2 = x^3 + 1 over F_23; (0, 1) generates only 3 of them.
+        path = tmp_path / "cofactor.txt"
+        path.write_text("p = 23\na = 0\nb = 1\ngx = 0\ngy = 1\nq = 3\n")
+        code, _, err = run(capsys, "demo", "--curve", str(path))
+        assert code == 2
+        assert "error:" in err
+
     def test_bad_identity_for_keygen(self, capsys):
         code, _, err = run(capsys, "keygen", "--id", "")
         assert code == 2

@@ -1,9 +1,13 @@
 """Curve arithmetic checked against an independent textbook oracle.
 
 The oracle below enumerates points straight from the curve equation and adds
-them with its own chord-tangent code (tuples, pow(-1) inversion), sharing
-nothing with the library implementation.
+them with its own chord-tangent code (tuples, pow(-1) inversion).  The library
+inverts with pow(-1) too, so the independent check of its arithmetic is
+test_secp256k1_mul_matches_cryptography, which compares 256-bit scalar
+multiplication with the installed cryptography package.
 """
+
+import random
 
 import pytest
 
@@ -285,3 +289,28 @@ class TestLargeCurvePath:
         point = c.mul(2 ** 130 + 3, c.gen)
         assert c.is_on_curve(point)
         assert c.decode_point(c.encode_point(point)) == point
+
+
+def test_cofactor_curve_rejected_by_point_count():
+    # y^2 = x^3 + 1 over F_23 has 24 points; (0, 1) has order 3, cofactor 8.
+    with pytest.raises(WrongOrder, match="24 points"):
+        validate_params(23, 0, 1, 0, 1, 3)
+
+
+def test_cofactor_curve_rejected_by_hasse_bound():
+    # y^2 = x^3 + x with p = 3 mod 4 has p + 1 = 65,540 = 580 * 113 points,
+    # and (55709, 29523) has order 113.
+    with pytest.raises(WrongOrder, match="cofactor 1"):
+        validate_params(65539, 1, 0, 55709, 29523, 113)
+
+
+def test_secp256k1_mul_matches_cryptography(production_curve):
+    """mul(k, G) equals the public key the cryptography package derives from k."""
+    ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+    c = production_curve
+    seeded = random.Random(1906)
+    scalars = [1, 2, 3, 2 ** 130 + 3, c.q - 1]
+    scalars += [seeded.randrange(1, c.q) for _ in range(5)]
+    for k in scalars:
+        public = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
+        assert c.mul(k, c.gen) == Point(public.x, public.y)
