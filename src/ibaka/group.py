@@ -1,8 +1,10 @@
 """Short-Weierstrass elliptic-curve arithmetic over a prime field.
 
-Affine coordinates with the builtin ``pow(value, -1, p)`` inversion
-throughout: the goal is auditability, not speed.  The group order is called
-``q`` everywhere and is always distinct from the field modulus ``p``.
+Points cross every interface in affine coordinates, and the public ``add``
+is the checked affine chord-tangent sum.  Scalar multiplication works inside
+Jacobian coordinates instead, so each ``mul`` costs one field inversion
+rather than one per bit.  The group order is called ``q`` everywhere and is
+always distinct from the field modulus ``p``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,41 @@ def mod_inverse(value: int, modulus: int) -> int:
         raise ZeroDivisionError(f"{value} is not invertible mod {modulus}") from None
 
 
+# Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is the
+# identity.  Formulas from Hankerson-Menezes-Vanstone, Guide to ECC, section 3.2.
+
+
+def _jacobian_double(pt, a, p):
+    """2*pt for any curve coefficient a."""
+    x, y, z = pt
+    yy = y * y % p
+    s = 4 * x * yy % p
+    zz = z * z % p
+    m = (3 * x * x + a * zz * zz) % p
+    x3 = (m * m - 2 * s) % p
+    # z3 is 0 for the identity and for a point of order 2, whose double is
+    # the identity, so neither needs a branch.
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def _jacobian_add_affine(pt, x2, y2, a, p):
+    """pt + (x2, y2) for a Jacobian pt and an affine, non-identity (x2, y2)."""
+    x1, y1, z1 = pt
+    if z1 == 0:
+        return x2, y2, 1
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * zz * z1 - y1) % p
+    if h == 0:
+        # Same x: equal points double, opposite points cancel.
+        return _jacobian_double(pt, a, p) if r == 0 else (1, 1, 0)
+    hh = h * h % p
+    hhh = h * hh % p
+    v = x1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p
+
+
 @dataclass(frozen=True)
 class Curve:
     """Curve y^2 = x^3 + ax + b over F_p with generator (gx, gy) of prime order q.
@@ -179,18 +216,29 @@ class Curve:
         return Point(x3, y3)
 
     def mul(self, k: int, u: Point) -> Point:
-        """k-fold sum of u by double-and-add; negative k multiplies -u."""
+        """k-fold sum of u; negative k multiplies -u.
+
+        Left-to-right double-and-add in Jacobian coordinates, ending with the
+        one inversion that maps the result back to affine.  k is used as
+        given, not reduced mod q, so mul(q, gen) really computes q*gen.
+        """
         self._require_on_curve(u)
         if k < 0:
             k, u = -k, self.negate(u)
-        result = IDENTITY
-        addend = u
-        while k:
-            if k & 1:
-                result = self.add(result, addend)
-            addend = self.add(addend, addend)
-            k >>= 1
-        return result
+        if k == 0 or u.is_identity:
+            return IDENTITY
+        p = self.p
+        acc = (u.x, u.y, 1)
+        for bit in bin(k)[3:]:
+            acc = _jacobian_double(acc, self.a, p)
+            if bit == "1":
+                acc = _jacobian_add_affine(acc, u.x, u.y, self.a, p)
+        x, y, z = acc
+        if z == 0:
+            return IDENTITY
+        z_inv = mod_inverse(z, p)
+        zz_inv = z_inv * z_inv % p
+        return Point(x * zz_inv % p, y * zz_inv * z_inv % p)
 
     def encode_point(self, u: Point) -> bytes:
         """Identity -> 0x00; otherwise 0x04 || x || y, fixed-width big-endian."""

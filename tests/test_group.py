@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from ibaka import group
 from ibaka.group import (
     Curve,
     GeneratorNotOnCurve,
@@ -29,6 +30,8 @@ from ibaka.group import (
     parse_curve_params,
     validate_params,
 )
+from ibaka.ibs import Variant
+from ibaka.sim import run_honest_exchange
 
 P17, A17, B17 = 17, 2, 2
 
@@ -314,3 +317,80 @@ def test_secp256k1_mul_matches_cryptography(production_curve):
     for k in scalars:
         public = ec.derive_private_key(k, ec.SECP256K1()).public_key().public_numbers()
         assert c.mul(k, c.gen) == Point(public.x, public.y)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_secp256k1_mul_inverts_once_and_never_adds(production_curve, monkeypatch):
+    c = production_curve
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
+    adds = count_calls(monkeypatch, Curve, "add")
+    k = c.q - 1
+    assert k.bit_length() == 256
+    assert c.mul(k, c.gen) == c.negate(c.gen)
+    assert len(inversions) == 1
+    assert adds == []
+
+
+def test_toy_exchange_operation_counts(monkeypatch):
+    """Only verify_signature's two affine adds remain; one inversion per mul or add."""
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
+    adds = count_calls(monkeypatch, Curve, "add")
+    assert run_honest_exchange(1, Variant.FIXED).keys_equal
+    assert len(adds) == 4
+    assert len(inversions) <= 19
+
+
+def test_mul_matches_repeated_addition_for_signed_multiples():
+    """Every TOY point and every k in [-2q, 3q): covers the doubling and
+    cancelling branches of the Jacobian sum."""
+    q = TOY_CURVE.q
+    for u in TOY_POINTS:
+        multiples = [IDENTITY]
+        for _ in range(3 * q):
+            multiples.append(TOY_CURVE.add(multiples[-1], u))
+        for k in range(-2 * q, 3 * q):
+            expected = multiples[k] if k >= 0 else TOY_CURVE.negate(multiples[-k])
+            assert TOY_CURVE.mul(k, u) == expected, (u, k)
+
+
+def test_secp256k1_mul_near_multiples_of_the_order(production_curve):
+    """Scalars at and around multiples of q, and negative ones, are not
+    reduced by mul but land where k mod q does."""
+    c = production_curve
+    P = c.mul(7, c.gen)
+    minus_P = c.negate(P)
+    expected = {
+        c.q - 1: minus_P,
+        c.q: IDENTITY,
+        c.q + 1: P,
+        2 * c.q: IDENTITY,
+        -1: minus_P,
+        -(c.q + 2): c.negate(c.add(P, P)),
+    }
+    for k, point in expected.items():
+        assert c.mul(k, P) == c.mul(k % c.q, P) == point, k
+
+
+def test_secp256k1_mul_of_other_points_matches_cryptography_ecdh(production_curve):
+    """a*(b*G) has the x coordinate of the ECDH secret for private a and public b*G."""
+    ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+    c = production_curve
+    seeded = random.Random(2719)
+    for _ in range(10):
+        a, b = seeded.randrange(1, c.q), seeded.randrange(2, c.q)
+        base = c.mul(b, c.gen)
+        peer = ec.EllipticCurvePublicNumbers(base.x, base.y, ec.SECP256K1()).public_key()
+        shared = ec.derive_private_key(a, ec.SECP256K1()).exchange(ec.ECDH(), peer)
+        assert c.mul(a, base).x == int.from_bytes(shared, "big"), (a, b)
