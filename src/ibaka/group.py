@@ -1,10 +1,12 @@
 """Short-Weierstrass elliptic-curve arithmetic over a prime field.
 
-Points cross every interface in affine coordinates, and the public ``add``
-is the checked affine chord-tangent sum.  Scalar multiplication works inside
-Jacobian coordinates instead, so each ``mul`` costs one field inversion
-rather than one per bit.  The group order is called ``q`` everywhere and is
-always distinct from the field modulus ``p``.
+Points cross every interface in affine coordinates; ``mul`` works inside
+Jacobian coordinates, with one field inversion per call rather than one per
+bit.  The group order ``q`` is always distinct from the field modulus ``p``.
+
+A point is checked where it enters: wire bytes in ``decode_point``, the
+generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
+and ``encode_point`` see only such points and results, so they do not check.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class Curve:
             raise PointNotOnCurve(f"{u!r} does not satisfy the curve equation")
 
     def negate(self, u: Point) -> Point:
-        self._require_on_curve(u)
+        """-u; u must lie on this curve."""
         if u.is_identity:
             return u
         return Point(u.x, (-u.y) % self.p)
@@ -241,10 +243,9 @@ class Curve:
         return Point(x * zz_inv % p, y * zz_inv * z_inv % p)
 
     def encode_point(self, u: Point) -> bytes:
-        """Identity -> 0x00; otherwise 0x04 || x || y, fixed-width big-endian."""
+        """Identity -> 0x00, else 0x04 || x || y fixed-width; u must lie on this curve."""
         if u.is_identity:
             return b"\x00"
-        self._require_on_curve(u)
         w = self.coord_size
         return b"\x04" + u.x.to_bytes(w, "big") + u.y.to_bytes(w, "big")
 
@@ -297,11 +298,9 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     b %= p
     if (4 * a ** 3 + 27 * b ** 2) % p == 0:
         raise SingularCurve("discriminant is zero")
-    if not (0 <= gx < p and 0 <= gy < p):
-        raise GeneratorNotOnCurve("generator coordinates outside the field")
     curve = Curve(p, a, b, gx, gy, q)
     if not curve.is_on_curve(curve.gen):
-        raise GeneratorNotOnCurve(f"({gx}, {gy}) does not satisfy the curve equation")
+        raise GeneratorNotOnCurve(f"({gx}, {gy}) is not a point of the curve")
     if q < 2 or not is_probable_prime(q):
         raise WrongOrder(f"group order {q} is not prime")
     if p < EXHAUSTIVE_CHECK_BOUND:

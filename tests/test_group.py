@@ -347,9 +347,11 @@ def test_toy_exchange_operation_counts(monkeypatch):
     """Only verify_signature's two affine adds remain; one inversion per mul or add."""
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     adds = count_calls(monkeypatch, Curve, "add")
+    point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     assert run_honest_exchange(1, Variant.FIXED).keys_equal
     assert len(adds) == 4
     assert len(inversions) <= 19
+    assert len(point_checks) == 33
 
 
 def test_mul_matches_repeated_addition_for_signed_multiples():
