@@ -173,6 +173,9 @@ def _selftest_checks():
             _check(curve.add(u, curve.negate(u)).is_identity)
 
     def scalar_mul_oracle():
+        """mul(k, u) against repeated add for every point and 0 <= k < 2q; for
+        gen that covers both paths, the table for 0 < k < q and the
+        double-and-add loop for q <= k < 2q."""
         for u in curve.points():
             running = curve.mul(0, u)
             _check(running.is_identity)

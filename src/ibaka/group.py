@@ -2,7 +2,13 @@
 
 Points cross every interface in affine coordinates; ``mul`` works inside
 Jacobian coordinates, with one field inversion per call rather than one per
-bit.  The group order ``q`` is always distinct from the field modulus ``p``.
+bit.  ``mul(k, gen)`` with ``0 < k < q`` adds one entry per hex digit of k
+from a table of multiples of the generator, with no doubling (fixed-base
+windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  The
+table is built in Jacobian coordinates, without an inversion, on the first
+such call and once per ``Curve``; ``validate_params``' ``mul(q, gen)`` takes
+the double-and-add loop, so loading a curve never builds it.  The group order
+``q`` is always distinct from the field modulus ``p``.
 
 A point is checked where it enters: wire bytes in ``decode_point``, the
 generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class CurveParameterError(ValueError):
@@ -152,6 +159,30 @@ def _jacobian_add_affine(pt, x2, y2, a, p):
     return x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p
 
 
+def _jacobian_add(pt, other, a, p):
+    """pt + other for Jacobian pt and other; either may be the identity."""
+    x1, y1, z1 = pt
+    x2, y2, z2 = other
+    if z1 == 0:
+        return other
+    if z2 == 0:
+        return pt
+    z1z1 = z1 * z1 % p
+    z2z2 = z2 * z2 % p
+    u1 = x1 * z2z2 % p
+    s1 = y1 * z2 * z2z2 % p
+    h = (x2 * z1z1 - u1) % p
+    r = (y2 * z1 * z1z1 - s1) % p
+    if h == 0:
+        # Same x: equal points double, opposite points cancel.
+        return _jacobian_double(pt, a, p) if r == 0 else (1, 1, 0)
+    hh = h * h % p
+    hhh = h * hh % p
+    v = u1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
+
+
 @dataclass(frozen=True)
 class Curve:
     """Curve y^2 = x^3 + ax + b over F_p with generator (gx, gy) of prime order q.
@@ -217,24 +248,49 @@ class Curve:
         y3 = (slope * (u.x - x3) - u.y) % self.p
         return Point(x3, y3)
 
+    @cached_property
+    def _gen_table(self):
+        """rows[i][d] = d * 16^i * gen in Jacobian coordinates, one row per
+        hex digit of q - 1; built by Jacobian adds alone, so no inversion."""
+        a, p = self.a, self.p
+        base = (self.gx, self.gy, 1)
+        rows = []
+        for _ in range(((self.q - 1).bit_length() + 3) // 4):
+            row = [(1, 1, 0), base]
+            while len(row) < 17:
+                row.append(_jacobian_add(row[-1], base, a, p))
+            base = row.pop()
+            rows.append(row)
+        return rows
+
     def mul(self, k: int, u: Point) -> Point:
         """k-fold sum of u; negative k multiplies -u.
 
-        Left-to-right double-and-add in Jacobian coordinates, ending with the
+        gen with 0 < k < q sums one entry of a table of multiples of gen per
+        hex digit of k, with no doubling; the table is built on the first such
+        call, once per Curve.  Every other call runs left-to-right
+        double-and-add.  Both work in Jacobian coordinates and end with the
         one inversion that maps the result back to affine.  k is used as
-        given, not reduced mod q, so mul(q, gen) really computes q*gen.
+        given, not reduced mod q, so mul(q, gen) takes the loop, computes
+        q*gen in full and builds no table.
         """
         self._require_on_curve(u)
-        if k < 0:
-            k, u = -k, self.negate(u)
-        if k == 0 or u.is_identity:
-            return IDENTITY
-        p = self.p
-        acc = (u.x, u.y, 1)
-        for bit in bin(k)[3:]:
-            acc = _jacobian_double(acc, self.a, p)
-            if bit == "1":
-                acc = _jacobian_add_affine(acc, u.x, u.y, self.a, p)
+        a, p = self.a, self.p
+        if 0 < k < self.q and u.x == self.gx and u.y == self.gy:
+            acc = (1, 1, 0)
+            for row in self._gen_table:
+                acc = _jacobian_add(acc, row[k & 15], a, p)
+                k >>= 4
+        else:
+            if k < 0:
+                k, u = -k, self.negate(u)
+            if k == 0 or u.is_identity:
+                return IDENTITY
+            acc = (u.x, u.y, 1)
+            for bit in bin(k)[3:]:
+                acc = _jacobian_double(acc, a, p)
+                if bit == "1":
+                    acc = _jacobian_add_affine(acc, u.x, u.y, a, p)
         x, y, z = acc
         if z == 0:
             return IDENTITY

@@ -7,6 +7,7 @@ test_secp256k1_mul_matches_cryptography, which compares 256-bit scalar
 multiplication with the installed cryptography package.
 """
 
+import pathlib
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from ibaka.ibs import Variant
 from ibaka.sim import run_honest_exchange
 
 P17, A17, B17 = 17, 2, 2
+SECP256K1_FILE = pathlib.Path(__file__).parent / "data" / "secp256k1.txt"
 
 
 def oracle_points():
@@ -352,6 +354,55 @@ def test_toy_exchange_operation_counts(monkeypatch):
     assert len(adds) == 4
     assert len(inversions) <= 19
     assert len(point_checks) == 33
+
+
+def test_generator_table_built_on_first_use_without_inversion(monkeypatch):
+    """On a freshly loaded curve, so no earlier test has built its table."""
+    jacobian_adds = count_calls(monkeypatch, group, "_jacobian_add")
+    c = load_curve_file(SECP256K1_FILE)
+    assert jacobian_adds == []
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
+    adds = count_calls(monkeypatch, Curve, "add")
+    point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
+    assert c.mul(c.q - 1, c.gen) == c.negate(c.gen)
+    assert len(inversions) == 1
+    assert adds == []
+    assert len(point_checks) == 1
+    # 64 rows of 15 sums to build the table, then one sum per hex digit.
+    assert len(jacobian_adds) == 64 * 15 + 64
+    jacobian_adds.clear()
+    doubles = count_calls(monkeypatch, group, "_jacobian_double")
+    k = 2 ** 130 + 3
+    product = c.mul(k, c.gen)
+    assert doubles == []
+    assert len(jacobian_adds) <= 64
+    assert product == c.mul(-k, c.negate(c.gen))
+
+
+def _largest_without_zero_hex_digit(n):
+    """Largest k <= n none of whose hex digits is 0."""
+    digits = f"{n:x}"
+    zero = digits.find("0")
+    if zero < 0:
+        return n
+    head = _largest_without_zero_hex_digit(int(digits[:zero], 16) - 1)
+    return int(f"{head:x}" + "f" * (len(digits) - zero), 16)
+
+
+def test_secp256k1_generator_table_matches_double_and_add(production_curve):
+    """mul(k, G) reads the generator table; -G is not the generator, so
+    mul(-k, -G) runs the double-and-add loop and must land on the same point."""
+    c = production_curve
+    minus_gen = c.negate(c.gen)
+    dense = _largest_without_zero_hex_digit(c.q - 1)
+    assert dense < c.q and "0" not in f"{dense:x}" and len(f"{dense:x}") == 64
+    scalars = {1, 15, 16, 17, c.q - 16, c.q - 1, dense}
+    for i in range(1, 64):
+        scalars |= {16 ** i - 1, 16 ** i, 16 ** i + 1}
+    seeded = random.Random(6301)
+    scalars |= {seeded.randrange(1, c.q) for _ in range(5)}
+    for k in sorted(scalars):
+        assert c.mul(k, c.gen) == c.mul(-k, minus_gen), hex(k)
 
 
 def test_mul_matches_repeated_addition_for_signed_multiples():
