@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .group import Curve, CurveParameterError, TOY_CURVE, load_curve_file
+from .group import Curve, CurveParameterError, TOY_CURVE, load_curve_file, validate_params
 from .ibs import Variant, extract_key, pkg_setup, sign, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
@@ -173,15 +173,17 @@ def _selftest_checks():
             _check(curve.add(u, curve.negate(u)).is_identity)
 
     def scalar_mul_oracle():
-        """mul(k, u) against repeated add for every point and 0 <= k < 2q; for
-        gen that covers both paths, the table for 0 < k < q and the
-        double-and-add loop for q <= k < 2q."""
-        for u in curve.points():
-            running = curve.mul(0, u)
-            _check(running.is_identity)
-            for k in range(1, 2 * curve.q):
-                running = curve.add(running, u)
-                _check(curve.mul(k, u) == running)
+        """mul(k, u) against repeated add for every point and 0 <= k < 2q, on
+        TOY and on the a = 0 curve y^2 = x^3 + 3 over F_79; that covers every
+        path: the generator table and the endomorphism split for 0 < k < q,
+        the double-and-add loop for q <= k < 2q."""
+        for c in (curve, validate_params(79, 0, 3, 1, 2, 97)):
+            for u in c.points():
+                running = c.mul(0, u)
+                _check(running.is_identity)
+                for k in range(1, 2 * c.q):
+                    running = c.add(running, u)
+                    _check(c.mul(k, u) == running)
 
     def point_codec():
         for u in curve.points():

@@ -6,9 +6,15 @@ bit.  ``mul(k, gen)`` with ``0 < k < q`` adds one entry per hex digit of k
 from a table of multiples of the generator, with no doubling (fixed-base
 windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  The
 table is built in Jacobian coordinates, without an inversion, on the first
-such call and once per ``Curve``; ``validate_params``' ``mul(q, gen)`` takes
-the double-and-add loop, so loading a curve never builds it.  The group order
-``q`` is always distinct from the field modulus ``p``.
+such call and once per ``Curve``.  On a = 0 curves with p = 1 (mod 3), such as
+secp256k1, ``mul(k, u)`` with ``0 < k < q`` for any other point writes
+k = k1 + k2*lambda (mod q) with k1, k2 half as long as q and sums
+k1*u + k2*phi(u), where phi(x, y) = (beta*x, y) = lambda*u, in one loop with
+half the doublings (Gallant-Lambert-Vanstone; Guide to ECC, section 3.5).
+Every other call runs plain double-and-add; ``validate_params``'
+``mul(q, gen)`` is one of them, so loading a curve builds neither the table
+nor the split's constants.  The group order ``q`` is always distinct from the
+field modulus ``p``.
 
 A point is checked where it enters: wire bytes in ``decode_point``, the
 generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
@@ -183,6 +189,55 @@ def _jacobian_add(pt, other, a, p):
     return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
 
 
+def _joint_mul(terms, a, p):
+    """k1*(x1, y1) + k2*(x2, y2) + ... in Jacobian coordinates, for terms
+    (k, x, y) with k >= 0 and (x, y) an affine non-identity point, by one
+    left-to-right loop that doubles once per bit of the longest k."""
+    width = max(k for k, _, _ in terms).bit_length()
+    acc = (1, 1, 0)
+    for column in zip(*(f"{k:0{width}b}" for k, _, _ in terms)):
+        acc = _jacobian_double(acc, a, p)
+        for bit, (_, x, y) in zip(column, terms):
+            if bit == "1":
+                acc = _jacobian_add_affine(acc, x, y, a, p)
+    return acc
+
+
+def _cube_root_of_unity(n):
+    """A cube root of 1 mod the prime n other than 1; None unless n = 1 mod 3."""
+    if n % 3 != 1:
+        return None
+    for g in range(2, n):
+        root = pow(g, (n - 1) // 3, n)
+        if root != 1:
+            return root
+
+
+def _glv_basis(q, lam):
+    """Two short vectors (a, b) with a + b*lam = 0 (mod q) and determinant q,
+    from extended Euclid on (q, lam) (Guide to ECC, Algorithm 3.74)."""
+    rows = [(q, 0), (lam, 1)]
+    while rows[-1][0]:
+        (r0, t0), (r1, t1) = rows[-2:]
+        rows.append((r0 - r0 // r1 * r1, t0 - r0 // r1 * t1))
+    last = max(i for i, (r, _) in enumerate(rows) if r * r >= q)
+    (r0, t0), (r1, t1), (r2, t2) = rows[last:last + 3]
+    a1, b1 = r1, -t1
+    a2, b2 = (r0, -t0) if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2 else (r2, -t2)
+    if a1 * b2 - a2 * b1 < 0:
+        a2, b2 = -a2, -b2
+    return a1, b1, a2, b2
+
+
+def _glv_split(k, q, basis):
+    """(k1, k2) with k1 + k2*lam = k (mod q), each about half as long as q:
+    k minus a lattice point near (k, 0), found by rounding (Babai)."""
+    a1, b1, a2, b2 = basis
+    c1 = (2 * b2 * k + q) // (2 * q)
+    c2 = (-2 * b1 * k + q) // (2 * q)
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
 @dataclass(frozen=True)
 class Curve:
     """Curve y^2 = x^3 + ax + b over F_p with generator (gx, gy) of prime order q.
@@ -199,7 +254,7 @@ class Curve:
     gy: int
     q: int
 
-    @property
+    @cached_property
     def gen(self) -> Point:
         return Point(self.gx, self.gy)
 
@@ -263,16 +318,37 @@ class Curve:
             rows.append(row)
         return rows
 
+    @cached_property
+    def _endomorphism(self):
+        """(beta, lam, basis) with phi(x, y) = (beta*x, y) equal to lam*u on
+        every point u, and the short basis that splits scalars; None unless
+        a = 0, p = 1 (mod 3) and lam*gen is phi(gen) for one of the two cube
+        roots beta.  Derived on the first mul that can use it, once per
+        Curve, without an inversion."""
+        p, q = self.p, self.q
+        beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(q)
+        if self.a != 0 or beta is None or lam is None:
+            return None
+        x, y, z = _joint_mul([(lam, self.gx, self.gy)], 0, p)
+        zz = z * z % p
+        for beta in (beta, beta * beta % p):
+            if z and x == beta * self.gx * zz % p and y == self.gy * zz * z % p:
+                return beta, lam, _glv_basis(q, lam)
+        return None
+
     def mul(self, k: int, u: Point) -> Point:
         """k-fold sum of u; negative k multiplies -u.
 
         gen with 0 < k < q sums one entry of a table of multiples of gen per
         hex digit of k, with no doubling; the table is built on the first such
-        call, once per Curve.  Every other call runs left-to-right
-        double-and-add.  Both work in Jacobian coordinates and end with the
-        one inversion that maps the result back to affine.  k is used as
-        given, not reduced mod q, so mul(q, gen) takes the loop, computes
-        q*gen in full and builds no table.
+        call, once per Curve.  Any other point with 0 < k < q, where
+        _endomorphism exists, sums k1*u + k2*phi(u) for the split of k in one
+        joint loop with half the doublings.  Every other call runs
+        left-to-right double-and-add.  All paths work in Jacobian coordinates
+        and end with the one inversion that maps the result back to affine.
+        k is used as given, not reduced mod q, so mul(q, gen) takes the plain
+        loop, computes q*gen in full and builds neither the table nor the
+        endomorphism constants.
         """
         self._require_on_curve(u)
         a, p = self.a, self.p
@@ -282,15 +358,24 @@ class Curve:
                 acc = _jacobian_add(acc, row[k & 15], a, p)
                 k >>= 4
         else:
-            if k < 0:
-                k, u = -k, self.negate(u)
             if k == 0 or u.is_identity:
                 return IDENTITY
-            acc = (u.x, u.y, 1)
-            for bit in bin(k)[3:]:
-                acc = _jacobian_double(acc, a, p)
-                if bit == "1":
-                    acc = _jacobian_add_affine(acc, u.x, u.y, a, p)
+            glv = 0 < k < self.q and self._endomorphism
+            if glv:
+                beta, _, basis = glv
+                k1, k2 = _glv_split(k, self.q, basis)
+                # A negative half multiplies the negated point (x, p - y).
+                acc = _joint_mul([(abs(k1), u.x, u.y if k1 >= 0 else p - u.y),
+                                  (abs(k2), beta * u.x % p, u.y if k2 >= 0 else p - u.y)],
+                                 a, p)
+            else:
+                if k < 0:
+                    k, u = -k, self.negate(u)
+                acc = (u.x, u.y, 1)
+                for bit in bin(k)[3:]:
+                    acc = _jacobian_double(acc, a, p)
+                    if bit == "1":
+                        acc = _jacobian_add_affine(acc, u.x, u.y, a, p)
         x, y, z = acc
         if z == 0:
             return IDENTITY

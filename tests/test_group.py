@@ -447,3 +447,72 @@ def test_secp256k1_mul_of_other_points_matches_cryptography_ecdh(production_curv
         peer = ec.EllipticCurvePublicNumbers(base.x, base.y, ec.SECP256K1()).public_key()
         shared = ec.derive_private_key(a, ec.SECP256K1()).exchange(ec.ECDH(), peer)
         assert c.mul(a, base).x == int.from_bytes(shared, "big"), (a, b)
+
+
+def test_mul_on_an_a0_curve_matches_repeated_addition():
+    """y^2 = x^3 + 3 over F_79 has 97 points and p = 1 (mod 3), so mul splits
+    k with the endomorphism; every point and every k in [-2q, 3q)."""
+    c = validate_params(79, 0, 3, 1, 2, 97)
+    assert c._endomorphism is not None
+    assert TOY_CURVE._endomorphism is None
+    q = c.q
+    for u in c.points():
+        multiples = [IDENTITY]
+        for _ in range(3 * q):
+            multiples.append(c.add(multiples[-1], u))
+        for k in range(-2 * q, 3 * q):
+            expected = multiples[k] if k >= 0 else c.negate(multiples[-k])
+            assert c.mul(k, u) == expected, (u, k)
+
+
+def _split_edge_scalars(c):
+    lam = c._endomorphism[1]
+    return [1, 2, lam - 1, lam, lam + 1, c.q - lam, c.q - 1]
+
+
+def test_secp256k1_endomorphism_split_is_short_and_exact(production_curve):
+    c = production_curve
+    _, lam, basis = c._endomorphism
+    seeded = random.Random(7401)
+    scalars = [seeded.randrange(1, c.q) for _ in range(1000)] + _split_edge_scalars(c)
+    for k in scalars:
+        k1, k2 = group._glv_split(k, c.q, basis)
+        assert (k1 + k2 * lam - k) % c.q == 0, k
+        assert abs(k1) < 2 ** 129 and abs(k2) < 2 ** 129, k
+
+
+def test_secp256k1_split_mul_matches_the_plain_loop(production_curve):
+    """mul(k, P) with 0 < k < q splits k; mul(k + q, P) takes the plain loop."""
+    c = production_curve
+    seeded = random.Random(7402)
+    points = [c.mul(seeded.randrange(2, c.q), c.gen) for _ in range(3)]
+    for P in points:
+        for k in _split_edge_scalars(c):
+            assert c.mul(k, P) == c.mul(k + c.q, P), (P, k)
+
+
+def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
+    """On a freshly loaded curve, so no earlier test has derived the constants."""
+    c = load_curve_file(SECP256K1_FILE)
+    assert "_endomorphism" not in c.__dict__
+    P = c.mul(7, c.gen)
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
+    adds = count_calls(monkeypatch, Curve, "add")
+    point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
+    jacobian_adds = count_calls(monkeypatch, group, "_jacobian_add")
+    muls = count_calls(monkeypatch, Curve, "mul")
+    k = c.q - 12345
+    first = c.mul(k, P)
+    assert "_endomorphism" in c.__dict__
+    assert len(inversions) == 1
+    assert adds == []
+    assert len(point_checks) == 1
+    assert jacobian_adds == []
+    assert len(muls) == 1
+    doubles = count_calls(monkeypatch, group, "_jacobian_double")
+    k = 2 ** 255 + 2 ** 130 + 3
+    assert k.bit_length() == 256 and k < c.q
+    second = c.mul(k, P)
+    assert len(doubles) <= 129
+    assert first == c.negate(c.mul(12345, P))
+    assert second == c.mul(k + c.q, P)
