@@ -11,10 +11,13 @@ secp256k1, ``mul(k, u)`` with ``0 < k < q`` for any other point writes
 k = k1 + k2*lambda (mod q) with k1, k2 half as long as q and sums
 k1*u + k2*phi(u), where phi(x, y) = (beta*x, y) = lambda*u, in one loop with
 half the doublings (Gallant-Lambert-Vanstone; Guide to ECC, section 3.5).
-Every other call runs plain double-and-add; ``validate_params``'
-``mul(q, gen)`` is one of them, so loading a curve builds neither the table
-nor the split's constants.  The group order ``q`` is always distinct from the
-field modulus ``p``.
+That loop reads k1 and k2 as non-adjacent forms (NAF, section 3.3.1), digits
++1, 0 and -1 with about a third non-zero; a -1 digit adds the free negation
+(x, p - y), so no point is precomputed.  Doubling skips the a*Z^4 term of its
+slope when a = 0.  Every other call runs plain double-and-add;
+``validate_params``' ``mul(q, gen)`` is one of them, so loading a curve
+builds neither the table nor the split's constants.  The group order ``q`` is
+always distinct from the field modulus ``p``.
 
 A point is checked where it enters: wire bytes in ``decode_point``, the
 generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
@@ -135,12 +138,16 @@ def mod_inverse(value: int, modulus: int) -> int:
 
 
 def _jacobian_double(pt, a, p):
-    """2*pt for any curve coefficient a."""
+    """2*pt for any curve coefficient a; the slope's a*Z^4 term is skipped
+    when a = 0, as on secp256k1."""
     x, y, z = pt
     yy = y * y % p
     s = 4 * x * yy % p
-    zz = z * z % p
-    m = (3 * x * x + a * zz * zz) % p
+    m = 3 * x * x
+    if a:
+        zz = z * z % p
+        m += a * zz * zz
+    m %= p
     x3 = (m * m - 2 * s) % p
     # z3 is 0 for the identity and for a point of order 2, whose double is
     # the identity, so neither needs a branch.
@@ -189,16 +196,35 @@ def _jacobian_add(pt, other, a, p):
     return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
 
 
+def _naf_masks(k):
+    """(pos, neg) with pos - neg = k for k >= 0: the +1 and -1 digits of k's
+    non-adjacent form (NAF; Guide to ECC, Algorithm 3.30) as bit masks.  With
+    h = k >> 1 and t = k + h, the NAF's non-zero digits sit where h and t
+    differ: +1 where t has the bit, -1 where h has it."""
+    h = k >> 1
+    t = k + h
+    return t & ~h, h & ~t
+
+
 def _joint_mul(terms, a, p):
     """k1*(x1, y1) + k2*(x2, y2) + ... in Jacobian coordinates, for terms
     (k, x, y) with k >= 0 and (x, y) an affine non-identity point, by one
-    left-to-right loop that doubles once per bit of the longest k."""
-    width = max(k for k, _, _ in terms).bit_length()
+    left-to-right loop over the NAF digits of every k at once (Guide to ECC,
+    Algorithm 3.51).  A +1 digit adds (x, y) and a -1 digit adds (x, p - y),
+    so no point is precomputed; about a third of the digits are non-zero,
+    against half of the bits.  The loop doubles once per digit after the
+    first non-zero one."""
+    bases = []
+    for k, x, y in terms:
+        pos, neg = _naf_masks(k)
+        bases += [(pos, x, y), (neg, x, p - y)]
+    width = max(d for d, _, _ in bases).bit_length()
     acc = (1, 1, 0)
-    for column in zip(*(f"{k:0{width}b}" for k, _, _ in terms)):
-        acc = _jacobian_double(acc, a, p)
-        for bit, (_, x, y) in zip(column, terms):
-            if bit == "1":
+    for column in zip(*(f"{d:0{width}b}" for d, _, _ in bases)):
+        if acc[2]:
+            acc = _jacobian_double(acc, a, p)
+        for digit, (_, x, y) in zip(column, bases):
+            if digit == "1":
                 acc = _jacobian_add_affine(acc, x, y, a, p)
     return acc
 
@@ -343,7 +369,8 @@ class Curve:
         hex digit of k, with no doubling; the table is built on the first such
         call, once per Curve.  Any other point with 0 < k < q, where
         _endomorphism exists, sums k1*u + k2*phi(u) for the split of k in one
-        joint loop with half the doublings.  Every other call runs
+        joint loop with half the doublings, over the NAF digits of k1 and k2,
+        so about a third of the digits cost an addition.  Every other call runs
         left-to-right double-and-add.  All paths work in Jacobian coordinates
         and end with the one inversion that maps the result back to affine.
         k is used as given, not reduced mod q, so mul(q, gen) takes the plain
