@@ -138,6 +138,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
+    if args.id.splitlines() != [args.id]:
+        # A line break in the identity would forge extra key-file lines.
+        raise ValueError(f"identity {args.id!r} must be one line of text")
     curve = _resolve_curve(args.curve)
     rng = DeterministicRandom(args.seed)
     master = pkg_setup(curve, rng)

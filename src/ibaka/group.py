@@ -2,22 +2,27 @@
 
 Points cross every interface in affine coordinates; ``mul`` works inside
 Jacobian coordinates, with one field inversion per call rather than one per
-bit.  ``mul(k, gen)`` with ``0 < k < q`` adds one entry per hex digit of k
-from a table of multiples of the generator, with no doubling (fixed-base
-windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  The
-table is built in Jacobian coordinates, without an inversion, on the first
-such call and once per ``Curve``.  On a = 0 curves with p = 1 (mod 3), such as
-secp256k1, ``mul(k, u)`` with ``0 < k < q`` for any other point writes
-k = k1 + k2*lambda (mod q) with k1, k2 half as long as q and sums
-k1*u + k2*phi(u), where phi(x, y) = (beta*x, y) = lambda*u, in one loop with
-half the doublings (Gallant-Lambert-Vanstone; Guide to ECC, section 3.5).
-That loop reads k1 and k2 as non-adjacent forms (NAF, section 3.3.1), digits
-+1, 0 and -1 with about a third non-zero; a -1 digit adds the free negation
-(x, p - y), so no point is precomputed.  Doubling skips the a*Z^4 term of its
-slope when a = 0.  Every other call runs plain double-and-add;
-``validate_params``' ``mul(q, gen)`` is one of them, so loading a curve
-builds neither the table nor the split's constants.  The group order ``q`` is
-always distinct from the field modulus ``p``.
+bit, and adds with one formula: a Jacobian point plus an affine one.  Its
+paths:
+
+- ``mul(k, gen)`` with ``0 < k < q`` adds one entry per non-zero hex digit of
+  k from an affine table of multiples of the generator, with no doubling
+  (fixed-base windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section
+  3.3.2).  The first such call builds the table, once per ``Curve``, with one
+  inversion per row of 16 entries (Montgomery's simultaneous inversion).
+- On a = 0 curves with p = 1 (mod 3), such as secp256k1, ``mul(k, u)`` with
+  ``0 < k < q`` for any other point writes k = k1 + k2*lambda (mod q) with
+  k1, k2 half as long as q and sums k1*u + k2*phi(u), where
+  phi(x, y) = (beta*x, y) = lambda*u, in one loop with half the doublings
+  (Gallant-Lambert-Vanstone; section 3.5) over the non-adjacent forms (NAF,
+  section 3.3.1) of k1 and k2.  Their digits are +1, 0 and -1, about a third
+  non-zero, and a -1 digit adds the free negation (x, p - y).
+- Every other call runs plain double-and-add; ``validate_params``'
+  ``mul(q, gen)`` is one of them, so loading a curve builds neither the table
+  nor the split's constants.
+
+Doubling skips the a*Z^4 term of its slope when a = 0.  The group order ``q``
+is always distinct from the field modulus ``p``.
 
 A point is checked where it enters: wire bytes in ``decode_point``, the
 generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
@@ -172,28 +177,22 @@ def _jacobian_add_affine(pt, x2, y2, a, p):
     return x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p
 
 
-def _jacobian_add(pt, other, a, p):
-    """pt + other for Jacobian pt and other; either may be the identity."""
-    x1, y1, z1 = pt
-    x2, y2, z2 = other
-    if z1 == 0:
-        return other
-    if z2 == 0:
-        return pt
-    z1z1 = z1 * z1 % p
-    z2z2 = z2 * z2 % p
-    u1 = x1 * z2z2 % p
-    s1 = y1 * z2 * z2z2 % p
-    h = (x2 * z1z1 - u1) % p
-    r = (y2 * z1 * z1z1 - s1) % p
-    if h == 0:
-        # Same x: equal points double, opposite points cancel.
-        return _jacobian_double(pt, a, p) if r == 0 else (1, 1, 0)
-    hh = h * h % p
-    hhh = h * hh % p
-    v = u1 * hh % p
-    x3 = (r * r - hhh - 2 * v) % p
-    return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
+def _to_affine(points, p):
+    """Affine (x, y) of each Jacobian point, None where Z = 0, with one
+    inversion for them all (Montgomery's simultaneous inversion)."""
+    prefix = [1]
+    for _, _, z in points:
+        prefix.append(prefix[-1] * (z or 1) % p)
+    inv = mod_inverse(prefix[-1], p)
+    affine = [None] * len(points)
+    for i in reversed(range(len(points))):
+        x, y, z = points[i]
+        if z:
+            z_inv = inv * prefix[i] % p
+            inv = inv * z % p
+            zz_inv = z_inv * z_inv % p
+            affine[i] = (x * zz_inv % p, y * zz_inv * z_inv % p)
+    return affine
 
 
 def _naf_masks(k):
@@ -208,15 +207,17 @@ def _naf_masks(k):
 
 def _joint_mul(terms, a, p):
     """k1*(x1, y1) + k2*(x2, y2) + ... in Jacobian coordinates, for terms
-    (k, x, y) with k >= 0 and (x, y) an affine non-identity point, by one
-    left-to-right loop over the NAF digits of every k at once (Guide to ECC,
-    Algorithm 3.51).  A +1 digit adds (x, y) and a -1 digit adds (x, p - y),
-    so no point is precomputed; about a third of the digits are non-zero,
-    against half of the bits.  The loop doubles once per digit after the
-    first non-zero one."""
+    (k, x, y) with any integer k and (x, y) an affine non-identity point, by
+    one left-to-right loop over the NAF digits of every k at once (Guide to
+    ECC, Algorithm 3.51).  A +1 digit adds (x, y) and a -1 digit adds
+    (x, p - y), so no point is precomputed; a negative k swaps its +1 and -1
+    digits.  About a third of the digits are non-zero, against half of the
+    bits.  The loop doubles once per digit after the first non-zero one."""
     bases = []
     for k, x, y in terms:
-        pos, neg = _naf_masks(k)
+        pos, neg = _naf_masks(abs(k))
+        if k < 0:
+            pos, neg = neg, pos
         bases += [(pos, x, y), (neg, x, p - y)]
     width = max(d for d, _, _ in bases).bit_length()
     acc = (1, 1, 0)
@@ -331,16 +332,19 @@ class Curve:
 
     @cached_property
     def _gen_table(self):
-        """rows[i][d] = d * 16^i * gen in Jacobian coordinates, one row per
-        hex digit of q - 1; built by Jacobian adds alone, so no inversion."""
+        """rows[i][d] = d * 16^i * gen as an affine (x, y), or None for the
+        identity, one row per hex digit of q - 1; one inversion per row."""
         a, p = self.a, self.p
-        base = (self.gx, self.gy, 1)
+        base = (self.gx, self.gy)
         rows = []
         for _ in range(((self.q - 1).bit_length() + 3) // 4):
-            row = [(1, 1, 0), base]
+            x, y = base
+            row = [(1, 1, 0), (x, y, 1)]
             while len(row) < 17:
-                row.append(_jacobian_add(row[-1], base, a, p))
-            base = row.pop()
+                row.append(_jacobian_add_affine(row[-1], x, y, a, p))
+            # 16 * 16^i * gen is the next row's base; it is the identity only
+            # after the last row, when q = 2.
+            *row, base = _to_affine(row, p)
             rows.append(row)
         return rows
 
@@ -365,24 +369,18 @@ class Curve:
     def mul(self, k: int, u: Point) -> Point:
         """k-fold sum of u; negative k multiplies -u.
 
-        gen with 0 < k < q sums one entry of a table of multiples of gen per
-        hex digit of k, with no doubling; the table is built on the first such
-        call, once per Curve.  Any other point with 0 < k < q, where
-        _endomorphism exists, sums k1*u + k2*phi(u) for the split of k in one
-        joint loop with half the doublings, over the NAF digits of k1 and k2,
-        so about a third of the digits cost an addition.  Every other call runs
-        left-to-right double-and-add.  All paths work in Jacobian coordinates
-        and end with the one inversion that maps the result back to affine.
-        k is used as given, not reduced mod q, so mul(q, gen) takes the plain
-        loop, computes q*gen in full and builds neither the table nor the
-        endomorphism constants.
+        k is used as given, not reduced mod q, and each call ends with one
+        inversion.  The module docstring describes the three paths and the
+        generator table that the first k*gen builds.
         """
         self._require_on_curve(u)
         a, p = self.a, self.p
         if 0 < k < self.q and u.x == self.gx and u.y == self.gy:
             acc = (1, 1, 0)
             for row in self._gen_table:
-                acc = _jacobian_add(acc, row[k & 15], a, p)
+                entry = row[k & 15]
+                if entry:
+                    acc = _jacobian_add_affine(acc, *entry, a, p)
                 k >>= 4
         else:
             if k == 0 or u.is_identity:
@@ -391,10 +389,7 @@ class Curve:
             if glv:
                 beta, _, basis = glv
                 k1, k2 = _glv_split(k, self.q, basis)
-                # A negative half multiplies the negated point (x, p - y).
-                acc = _joint_mul([(abs(k1), u.x, u.y if k1 >= 0 else p - u.y),
-                                  (abs(k2), beta * u.x % p, u.y if k2 >= 0 else p - u.y)],
-                                 a, p)
+                acc = _joint_mul([(k1, u.x, u.y), (k2, beta * u.x % p, u.y)], a, p)
             else:
                 if k < 0:
                     k, u = -k, self.negate(u)
@@ -453,7 +448,8 @@ class Curve:
 def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     """Check a raw parameter set and return the usable Curve.
 
-    One rule for every field size: q is prime (64-round Miller-Rabin), the
+    One rule for every field size: q is a prime (64-round Miller-Rabin)
+    other than p, whose anomalous curves fall to Smart's attack, the
     cofactor is 1 and q*gen is the identity.  The cofactor is proved by an
     exact point count when p < 2^16 and otherwise by the Hasse bound
     #E <= p + 1 + 2*sqrt(p): when 2q exceeds it, q is the whole group.  With
@@ -471,6 +467,8 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
         raise GeneratorNotOnCurve(f"({gx}, {gy}) is not a point of the curve")
     if q < 2 or not is_probable_prime(q):
         raise WrongOrder(f"group order {q} is not prime")
+    if q == p:
+        raise WrongOrder(f"group order equals the field modulus {p} (anomalous curve)")
     if p < EXHAUSTIVE_CHECK_BOUND:
         total = len(curve.points())
         if total != q:

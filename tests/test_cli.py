@@ -169,3 +169,12 @@ class TestUsageErrors:
     def test_bad_identity_for_keygen(self, capsys):
         code, _, err = run(capsys, "keygen", "--id", "")
         assert code == 2
+
+    def test_multi_line_identity_for_keygen(self, capsys, tmp_path):
+        """A line break in --id would forge a second `s = ` key-file line."""
+        path = tmp_path / "key.txt"
+        for identity in ["a\ns = 1", "a\rs = 1", "a\u2028s = 1", "a\n"]:
+            code, out, err = run(capsys, "keygen", "--id", identity, "--output", str(path))
+            assert (code, out) == (2, ""), repr(identity)
+            assert "one line" in err
+            assert not path.exists()

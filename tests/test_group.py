@@ -126,6 +126,13 @@ class TestValidateParams:
         with pytest.raises(WrongOrder):
             validate_params(17, 2, 2, 5, 1, 21)
 
+    def test_anomalous_curve_rejected(self):
+        # Both curves have exactly p points, generated by (gx, gy): discrete
+        # logs on them fall to Smart's attack.
+        for params in [(5, 3, 2, 1, 1, 5), (11, 1, 5, 0, 4, 11)]:
+            with pytest.raises(WrongOrder, match="anomalous"):
+                validate_params(*params)
+
 
 class TestPointAdd:
     def test_identity_element(self):
@@ -347,35 +354,42 @@ def test_secp256k1_mul_inverts_once_and_never_adds(production_curve, monkeypatch
 
 def test_toy_exchange_operation_counts(monkeypatch):
     """Only verify_signature's two affine adds remain; one inversion per mul or add."""
+    # A first exchange builds the generator table, so the count holds in any
+    # test order.
+    assert run_honest_exchange(1, Variant.FIXED).keys_equal
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     assert run_honest_exchange(1, Variant.FIXED).keys_equal
     assert len(adds) == 4
-    assert len(inversions) <= 19
+    assert len(inversions) == 19
     assert len(point_checks) == 33
 
 
-def test_generator_table_built_on_first_use_without_inversion(monkeypatch):
+def test_generator_table_built_on_first_use_with_one_inversion_per_row(monkeypatch):
     """On a freshly loaded curve, so no earlier test has built its table."""
-    jacobian_adds = count_calls(monkeypatch, group, "_jacobian_add")
     c = load_curve_file(SECP256K1_FILE)
-    assert jacobian_adds == []
+    assert "_gen_table" not in c.__dict__
     inversions = count_calls(monkeypatch, group, "mod_inverse")
+    mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     assert c.mul(c.q - 1, c.gen) == c.negate(c.gen)
-    assert len(inversions) == 1
+    # 64 rows of 15 sums and one inversion each to build the table, then one
+    # sum per non-zero hex digit of q - 1 (61 of its 64) and one inversion.
+    assert sum(d != "0" for d in f"{c.q - 1:x}") == 61
+    assert len(inversions) == 64 + 1
+    assert len(mixed_adds) == 64 * 15 + 61
     assert adds == []
     assert len(point_checks) == 1
-    # 64 rows of 15 sums to build the table, then one sum per hex digit.
-    assert len(jacobian_adds) == 64 * 15 + 64
-    jacobian_adds.clear()
+    inversions.clear()
+    mixed_adds.clear()
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
-    k = 2 ** 130 + 3
+    k = 2 ** 130 + 3  # two non-zero hex digits: 4 * 16^32 + 3
     product = c.mul(k, c.gen)
     assert doubles == []
-    assert len(jacobian_adds) <= 64
+    assert len(inversions) == 1
+    assert len(mixed_adds) == 2
     assert product == c.mul(-k, c.negate(c.gen))
 
 
@@ -451,18 +465,27 @@ def test_secp256k1_mul_of_other_points_matches_cryptography_ecdh(production_curv
 
 def test_mul_on_an_a0_curve_matches_repeated_addition():
     """y^2 = x^3 + 3 over F_79 has 97 points and p = 1 (mod 3), so mul splits
-    k with the endomorphism; every point and every k in [-2q, 3q)."""
-    c = validate_params(79, 0, 3, 1, 2, 97)
-    assert c._endomorphism is not None
-    assert TOY_CURVE._endomorphism is None
-    q = c.q
-    for u in c.points():
-        multiples = [IDENTITY]
-        for _ in range(3 * q):
-            multiples.append(c.add(multiples[-1], u))
-        for k in range(-2 * q, 3 * q):
-            expected = multiples[k] if k >= 0 else c.negate(multiples[-k])
-            assert c.mul(k, u) == expected, (u, k)
+    k with the endomorphism; every point and every k in [-2q, 3q).  On the
+    tiny curves with q = 2, 3 and 13 some generator-table entries are the
+    identity (d*gen for even d, for d = 3, 6, ..., 15 and for d = 13), and
+    the q = 13 one splits k too."""
+    a0 = validate_params(79, 0, 3, 1, 2, 97)
+    q2 = validate_params(5, 2, 0, 0, 0, 2)
+    q3 = validate_params(5, 4, 2, 3, 1, 3)
+    q13 = validate_params(7, 0, 3, 1, 2, 13)
+    assert a0._endomorphism is not None and q13._endomorphism is not None
+    assert TOY_CURVE._endomorphism is None and q3._endomorphism is None
+    assert q2._gen_table[0][2] is None and q3._gen_table[0][3] is None
+    assert q13._gen_table[0][13] is None
+    for c in (a0, q2, q3, q13):
+        q = c.q
+        for u in c.points():
+            multiples = [IDENTITY]
+            for _ in range(3 * q):
+                multiples.append(c.add(multiples[-1], u))
+            for k in range(-2 * q, 3 * q):
+                expected = multiples[k] if k >= 0 else c.negate(multiples[-k])
+                assert c.mul(k, u) == expected, (c, u, k)
 
 
 def _split_edge_scalars(c):
@@ -499,7 +522,6 @@ def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
-    jacobian_adds = count_calls(monkeypatch, group, "_jacobian_add")
     muls = count_calls(monkeypatch, Curve, "mul")
     k = c.q - 12345
     first = c.mul(k, P)
@@ -507,7 +529,6 @@ def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
     assert len(inversions) == 1
     assert adds == []
     assert len(point_checks) == 1
-    assert jacobian_adds == []
     assert len(muls) == 1
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
     k = 2 ** 255 + 2 ** 130 + 3
@@ -569,30 +590,36 @@ def test_joint_mul_signed_digits_match_the_plain_loop(which, production_curve):
 
 def test_jacobian_double_with_z_not_one(production_curve):
     """Points scaled to (lam^2 x, lam^3 y, lam): TOY (a = 2) keeps the slope's
-    a*Z^4 term and secp256k1 (a = 0) skips it; both match affine add(u, u)."""
+    a*Z^4 term and secp256k1 (a = 0) skips it; both match affine add(u, u).
+    The mixed add of the scaled u and an affine v matches add(u, v) for
+    v = 3u, for v = u (its doubling branch) and for v = -u (its cancel
+    branch)."""
     seeded = random.Random(8304)
     c = production_curve
     cases = [(TOY_CURVE, u) for u in TOY_POINTS if not u.is_identity]
     cases += [(c, c.mul(seeded.randrange(2, c.q), c.gen)) for _ in range(5)]
     for curve, u in cases:
+        others = [curve.mul(3, u), u, curve.negate(u)]
         for _ in range(3):
             lam = seeded.randrange(2, curve.p)
             scaled = (lam ** 2 * u.x % curve.p, lam ** 3 * u.y % curve.p, lam)
             doubled = group._jacobian_double(scaled, curve.a, curve.p)
             assert _affine(curve, doubled) == curve.add(u, u), (u, lam)
+            for v in others:
+                total = group._jacobian_add_affine(scaled, v.x, v.y, curve.a, curve.p)
+                assert _affine(curve, total) == curve.add(u, v), (u, v, lam)
 
 
 def test_secp256k1_exchange_operation_counts(production_curve, monkeypatch):
-    """NAF digits in the GLV loop leave about a third fewer mixed additions
-    than the binary digits did (762 for this exchange), with no more
+    """NAF digits in the GLV loop leave 517 mixed additions, about a third
+    fewer than the binary digits did (762 for this exchange), with no more
     doublings."""
     c = production_curve
     # A first exchange builds the generator table and the split's constants.
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
     mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
-    jacobian_adds = count_calls(monkeypatch, group, "_jacobian_add")
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
-    assert len(mixed_adds) == 517
+    # The nine k*G add one table entry per non-zero hex digit: 546 of 576.
+    assert len(mixed_adds) == 517 + 546
     assert len(doubles) == 757
-    assert len(jacobian_adds) == 576
