@@ -21,8 +21,10 @@ paths:
   ``mul(q, gen)`` is one of them, so loading a curve builds neither the table
   nor the split's constants.
 
-Doubling skips the a*Z^4 term of its slope when a = 0.  The group order ``q``
-is always distinct from the field modulus ``p``.
+Both loops take a sign the same way: where a positive scalar adds
+u = (x, y), a negative one adds (x, p - y), so ``mul`` builds no negated
+point.  Doubling skips the a*Z^4 term of its slope when a = 0.  The group
+order ``q`` is always distinct from the field modulus ``p``.
 
 A point is checked where it enters: wire bytes in ``decode_point``, the
 generator in ``validate_params``, operands in ``mul`` and ``add``.  ``negate``
@@ -221,11 +223,11 @@ def _joint_mul(terms, a, p):
         bases += [(pos, x, y), (neg, x, p - y)]
     width = max(d for d, _, _ in bases).bit_length()
     acc = (1, 1, 0)
-    for column in zip(*(f"{d:0{width}b}" for d, _, _ in bases)):
+    for i in reversed(range(width)):
         if acc[2]:
             acc = _jacobian_double(acc, a, p)
-        for digit, (_, x, y) in zip(column, bases):
-            if digit == "1":
+        for d, x, y in bases:
+            if d >> i & 1:
                 acc = _jacobian_add_affine(acc, x, y, a, p)
     return acc
 
@@ -382,22 +384,19 @@ class Curve:
                 if entry:
                     acc = _jacobian_add_affine(acc, *entry, a, p)
                 k >>= 4
+        elif k == 0 or u.is_identity:
+            return IDENTITY
+        elif 0 < k < self.q and self._endomorphism:
+            beta, _, basis = self._endomorphism
+            k1, k2 = _glv_split(k, self.q, basis)
+            acc = _joint_mul([(k1, u.x, u.y), (k2, beta * u.x % p, u.y)], a, p)
         else:
-            if k == 0 or u.is_identity:
-                return IDENTITY
-            glv = 0 < k < self.q and self._endomorphism
-            if glv:
-                beta, _, basis = glv
-                k1, k2 = _glv_split(k, self.q, basis)
-                acc = _joint_mul([(k1, u.x, u.y), (k2, beta * u.x % p, u.y)], a, p)
-            else:
-                if k < 0:
-                    k, u = -k, self.negate(u)
-                acc = (u.x, u.y, 1)
-                for bit in bin(k)[3:]:
-                    acc = _jacobian_double(acc, a, p)
-                    if bit == "1":
-                        acc = _jacobian_add_affine(acc, u.x, u.y, a, p)
+            x, y = u.x, (u.y if k > 0 else p - u.y)
+            acc = (x, y, 1)
+            for bit in bin(abs(k))[3:]:
+                acc = _jacobian_double(acc, a, p)
+                if bit == "1":
+                    acc = _jacobian_add_affine(acc, x, y, a, p)
         x, y, z = acc
         if z == 0:
             return IDENTITY

@@ -146,6 +146,10 @@ class TestUsageErrors:
         assert run(capsys, "demo", "--seed", "-1")[0] == 2
         assert run(capsys, "demo", "--seed", str(1 << 64))[0] == 2
 
+    def test_negative_ticks(self, capsys):
+        assert run(capsys, "demo", "--window", "-1")[0] == 2
+        assert run(capsys, "attack", "replay", "--delay", "-1")[0] == 2
+
     def test_missing_curve_file(self, capsys):
         code, _, err = run(capsys, "demo", "--curve", "/does/not/exist")
         assert code == 2

@@ -90,6 +90,13 @@ def test_is_probable_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_probable_prime(n) == (n in primes)
+    # Trial division by the primes up to 37 decides every n below 41^2 =
+    # 1,681; the Miller-Rabin witnesses decide the composites above it.
+    for n in range(50, 3000):
+        assert is_probable_prime(n) == all(n % d for d in range(2, int(n ** 0.5) + 1))
+    # A Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7.
+    assert not is_probable_prime(41 * 61 * 101)
+    assert not is_probable_prime(151 * 751 * 28351)
 
 
 def test_point_rejects_half_identity():
@@ -289,12 +296,18 @@ class TestLargeCurvePath:
     def test_production_scale_curve_accepts(self, production_curve):
         assert production_curve.p.bit_length() == 256
         assert production_curve.mul(production_curve.q, production_curve.gen) == IDENTITY
+        with pytest.raises(ValueError, match="small curves"):
+            production_curve.points()
 
     def test_wrong_large_order_rejected(self, production_curve):
         c = production_curve
         # c.p is prime but is not the group order.
         with pytest.raises(WrongOrder):
             validate_params(c.p, c.a, c.b, c.gx, c.gy, c.p)
+        # q + 24 is the next prime and passes the Hasse margin, so only the
+        # q * gen check can reject it.
+        with pytest.raises(WrongOrder, match=r"q \* gen"):
+            validate_params(c.p, c.a, c.b, c.gx, c.gy, c.q + 24)
 
     def test_scalar_round_trip(self, production_curve):
         c = production_curve

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from ibaka.group import IDENTITY, Point, PointNotOnCurve, TOY_CURVE
-from ibaka.ibs import Signature, Variant, extract_key, pkg_setup
+from ibaka.ibs import Signature, Variant, extract_key, pkg_setup, ticks_to_bytes
 from ibaka.protocol import (
     BadSignature,
     FutureTimestamp,
@@ -242,22 +242,46 @@ class TestWireCodec:
             decode_message(TOY_CURVE, wire_from(fields))
 
     def test_mu_out_of_range_rejected(self):
-        fields = fields_of(encode_message(TOY_CURVE, seeded_message(1, Variant.FIXED)[1]))
+        msg = seeded_message(1, Variant.FIXED)[1]
+        fields = fields_of(encode_message(TOY_CURVE, msg))
         fields[3] = bytes([TOY_CURVE.q])
         with pytest.raises(MalformedMessage):
             decode_message(TOY_CURVE, wire_from(fields))
+        with pytest.raises(MalformedMessage):
+            encode_message(TOY_CURVE, dataclasses.replace(
+                msg, sig=dataclasses.replace(msg.sig, mu=TOY_CURVE.q)))
+
+    def test_wrong_mu_width_rejected(self, production_curve):
+        # A leading zero byte would otherwise give one message a second encoding.
+        for curve in (TOY_CURVE, production_curve):
+            rng = DeterministicRandom(5)
+            keys = extract_key(pkg_setup(curve, rng), SERVER, rng)
+            msg, _ = build_message(keys, CLIENT, 100, Variant.FIXED, rng)
+            fields = fields_of(encode_message(curve, msg))
+            for raw_mu in (b"\x00" + fields[3], fields[3][1:]):
+                mutated = list(fields)
+                mutated[3] = raw_mu
+                with pytest.raises(MalformedMessage, match="width"):
+                    decode_message(curve, wire_from(mutated))
 
     def test_wrong_digest_length_rejected(self):
-        fields = fields_of(encode_message(TOY_CURVE, seeded_message(1, Variant.FIXED)[1]))
+        msg = seeded_message(1, Variant.FIXED)[1]
+        fields = fields_of(encode_message(TOY_CURVE, msg))
         fields[2] = fields[2][:31]
         with pytest.raises(MalformedMessage):
             decode_message(TOY_CURVE, wire_from(fields))
+        with pytest.raises(MalformedMessage):
+            encode_message(TOY_CURVE, dataclasses.replace(
+                msg, sig=dataclasses.replace(msg.sig, h=msg.sig.h[:31])))
 
     def test_wrong_timestamp_width_rejected(self):
         fields = fields_of(encode_message(TOY_CURVE, seeded_message(1, Variant.FIXED)[1]))
         fields[5] = fields[5][:4]
         with pytest.raises(MalformedMessage):
             decode_message(TOY_CURVE, wire_from(fields))
+        for ticks in (1 << 64, -1):
+            with pytest.raises(ValueError):
+                ticks_to_bytes(ticks)
 
     def test_encode_rejects_identity_ephemeral(self):
         _, msg, _ = seeded_message(1, Variant.FIXED)

@@ -38,6 +38,10 @@ class TestHonestExchange:
             assert result.keys_equal
             assert len(result.server_key) == 32
 
+    def test_unknown_order_rejected(self):
+        with pytest.raises(ValueError, match="unknown message order"):
+            run_honest_exchange(1, Variant.FLAWED, "SERVER_FIRST")
+
     def test_transcript_deterministic(self):
         a = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
         b = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
@@ -149,6 +153,8 @@ class TestEphemeralCompromiseAttack:
         report = run_ephemeral_compromise_attack(7, Variant.FLAWED, delay=0)
         assert report.outcome is Outcome.SUCCEEDED
         assert report.keys_match
+        with pytest.raises(ValueError, match="non-negative"):
+            run_ephemeral_compromise_attack(1, Variant.FIXED, -1)
 
     def test_mirrored_direction(self):
         report = run_ephemeral_compromise_attack(7, Variant.FLAWED, impersonate=Role.CLIENT)
@@ -178,11 +184,20 @@ class TestAdversaryObject:
         adversary = Adversary(TOY_CURVE)
         with pytest.raises(RuntimeError):
             adversary.compute_session_key()
+        adversary.grant_ephemeral(1)
+        adversary.intercept(run_honest_exchange(1, Variant.FLAWED).transcript.events[0].payload)
+        with pytest.raises(RuntimeError, match="victim response"):
+            adversary.compute_session_key()
 
     def test_rewrite_requires_the_trailing_field_shape(self):
         from ibaka.protocol import MalformedMessage
         with pytest.raises(MalformedMessage):
             Adversary.rewrite_timestamp(b"\x01\x02\x03", 5)
+        # Well framed, but the final field has 7 bytes, not 8.
+        wire = run_honest_exchange(1, Variant.FLAWED).transcript.events[0].payload
+        short_t = wire[:-10] + (7).to_bytes(2, "big") + wire[-8:-1]
+        with pytest.raises(MalformedMessage, match="trailing timestamp"):
+            Adversary.rewrite_timestamp(short_t, 5)
 
 
 class TestAttackReportSerialization:
