@@ -1,27 +1,33 @@
 """Short-Weierstrass elliptic-curve arithmetic over a prime field.
 
 Points cross every interface in affine coordinates; ``mul`` works inside
-Jacobian coordinates, with one field inversion per call rather than one per
-bit, and adds with one formula: a Jacobian point plus an affine one.  Its
-paths:
+Jacobian coordinates, with a field inversion or two per call rather than one
+per bit, and adds with one formula: a Jacobian point plus an affine one.
+Its paths:
 
-- ``mul(k, gen)`` with ``0 < k < q`` adds one entry per non-zero hex digit of
-  k from an affine table of multiples of the generator, with no doubling
-  (fixed-base windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section
-  3.3.2).  The first such call builds the table, once per ``Curve``, with one
-  inversion per row of 16 entries (Montgomery's simultaneous inversion).
+- ``mul(k, gen)`` with ``0 < k < q`` reads k in radix 64 with signed digits
+  in (-32, 32] and adds one entry per non-zero digit from an affine table of
+  multiples of the generator, with no doubling (fixed-base windowing,
+  Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  A negative
+  digit adds the entry's negation, so each row holds d * 64^i * gen for
+  d <= 32 only.  The first such call builds the table, once per ``Curve``,
+  with one inversion per row (Montgomery's simultaneous inversion).  Each
+  call inverts once, at the end.
 - On a = 0 curves with p = 1 (mod 3), such as secp256k1, ``mul(k, u)`` with
   ``0 < k < q`` for any other point writes k = k1 + k2*lambda (mod q) with
   k1, k2 half as long as q and sums k1*u + k2*phi(u), where
   phi(x, y) = (beta*x, y) = lambda*u, in one loop with half the doublings
-  (Gallant-Lambert-Vanstone; section 3.5) over the non-adjacent forms (NAF,
-  section 3.3.1) of k1 and k2.  Their digits are +1, 0 and -1, about a third
-  non-zero, and a -1 digit adds the free negation (x, p - y).
-- Every other call runs plain double-and-add; ``validate_params``'
-  ``mul(q, gen)`` is one of them, so loading a curve builds neither the table
-  nor the split's constants.
+  (Gallant-Lambert-Vanstone; section 3.5) over the width-5 non-adjacent
+  forms (wNAF, Algorithm 3.35) of k1 and k2.  Their digits are odd, below 16
+  in size, and about one in six is non-zero; a digit d adds d*u from a table
+  of u, 3u, ..., 15u, or d*phi(u) from the table's phi images, which cost
+  one multiplication each.  Each call builds its table with one inversion
+  and inverts once more at the end.
+- Every other call runs plain double-and-add, with one inversion;
+  ``validate_params``' ``mul(q, gen)`` is one of them, so loading a curve
+  builds neither the table nor the split's constants.
 
-Both loops take a sign the same way: where a positive scalar adds
+Every path takes a sign the same way: where a positive scalar or digit adds
 u = (x, y), a negative one adds (x, p - y), so ``mul`` builds no negated
 point.  Doubling skips the a*Z^4 term of its slope when a = 0.  The group
 order ``q`` is always distinct from the field modulus ``p``.
@@ -140,6 +146,11 @@ def mod_inverse(value: int, modulus: int) -> int:
         raise ZeroDivisionError(f"{value} is not invertible mod {modulus}") from None
 
 
+# Digit widths: the width-w NAF of the GLV halves in variable-base mul, and
+# the signed radix-2^w digits that index the generator table.
+_GLV_WIDTH = 5
+_GEN_TABLE_WIDTH = 6
+
 # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is the
 # identity.  Formulas from Hankerson-Menezes-Vanstone, Guide to ECC, section 3.2.
 
@@ -197,38 +208,72 @@ def _to_affine(points, p):
     return affine
 
 
-def _naf_masks(k):
-    """(pos, neg) with pos - neg = k for k >= 0: the +1 and -1 digits of k's
-    non-adjacent form (NAF; Guide to ECC, Algorithm 3.30) as bit masks.  With
-    h = k >> 1 and t = k + h, the NAF's non-zero digits sit where h and t
-    differ: +1 where t has the bit, -1 where h has it."""
-    h = k >> 1
-    t = k + h
-    return t & ~h, h & ~t
+def _wnaf(k, w):
+    """[(i, d)] with the sum of d*2^i equal to k >= 0: the non-zero digits of
+    k's width-w non-adjacent form (Guide to ECC, Algorithm 3.35), lowest
+    first.  Each d is odd with |d| < 2^(w-1) and has at least w - 1 zero
+    digits above it; w = 2 is the plain NAF.  The loop runs once per non-zero
+    digit, jumping over each run of zeros in one shift."""
+    digits = []
+    i = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        d = k & ((1 << w) - 1)
+        if d >> (w - 1):
+            d -= 1 << w
+        digits.append((i, d))
+        k = (k - d) >> w
+        i += w
+    return digits
 
 
-def _joint_mul(terms, a, p):
-    """k1*(x1, y1) + k2*(x2, y2) + ... in Jacobian coordinates, for terms
-    (k, x, y) with any integer k and (x, y) an affine non-identity point, by
-    one left-to-right loop over the NAF digits of every k at once (Guide to
-    ECC, Algorithm 3.51).  A +1 digit adds (x, y) and a -1 digit adds
-    (x, p - y), so no point is precomputed; a negative k swaps its +1 and -1
-    digits.  About a third of the digits are non-zero, against half of the
-    bits.  The loop doubles once per digit after the first non-zero one."""
-    bases = []
-    for k, x, y in terms:
-        pos, neg = _naf_masks(abs(k))
-        if k < 0:
-            pos, neg = neg, pos
-        bases += [(pos, x, y), (neg, x, p - y)]
-    width = max(d for d, _, _ in bases).bit_length()
+def _odd_multiples(x, y, w, a, p):
+    """[u, 3u, 5u, ..., (2^(w-1) - 1)u] as affine (x, y), None for the
+    identity, for u = (x, y) not of order 2 and w >= 3; one inversion.
+
+    With 2u = (X, Y, Z), the isomorphism (x, y) -> (Z^2 x, Z^3 y) onto the
+    curve with coefficient a*Z^4 makes 2u the affine (X, Y), so each odd
+    multiple is one mixed add there, and a result (X', Y', Z') there is
+    (X', Y', Z'*Z) here."""
+    x2, y2, z = _jacobian_double((x, y, 1), a, p)
+    zz = z * z % p
+    a_iso = a * zz * zz % p
+    pt = (x * zz % p, y * zz * z % p, 1)
+    multiples = []
+    for _ in range((1 << (w - 2)) - 1):
+        pt = _jacobian_add_affine(pt, x2, y2, a_iso, p)
+        multiples.append((pt[0], pt[1], pt[2] * z % p))
+    return [(x, y)] + _to_affine(multiples, p)
+
+
+def _joint_mul(terms, w, a, p):
+    """k1*u1 + k2*u2 + ... in Jacobian coordinates, for terms (k, table)
+    with any integer k and table the affine odd multiples of u, as
+    _odd_multiples returns them for this w, by one left-to-right loop over
+    the width-w NAF digits of every k at once (Guide to ECC, Algorithm 3.51).
+    A digit d adds table[|d| // 2] when d and k have the same sign, and that
+    entry's free negation (x, p - y) otherwise; identity entries are
+    skipped.  About 1/(w + 1) of the digits are non-zero, and the loop
+    doubles once per digit below the highest non-zero one."""
+    adds = []
+    for k, table in terms:
+        for i, d in _wnaf(abs(k), w):
+            entry = table[abs(d) >> 1]
+            if entry:
+                x, y = entry
+                adds.append((i, x, y if (d > 0) == (k > 0) else p - y))
+    adds.sort(reverse=True)
     acc = (1, 1, 0)
-    for i in reversed(range(width)):
-        if acc[2]:
+    top = adds[0][0] if adds else 0
+    for i, x, y in adds:
+        for _ in range(top - i):
             acc = _jacobian_double(acc, a, p)
-        for d, x, y in bases:
-            if d >> i & 1:
-                acc = _jacobian_add_affine(acc, x, y, a, p)
+        acc = _jacobian_add_affine(acc, x, y, a, p)
+        top = i
+    for _ in range(top):
+        acc = _jacobian_double(acc, a, p)
     return acc
 
 
@@ -334,19 +379,21 @@ class Curve:
 
     @cached_property
     def _gen_table(self):
-        """rows[i][d] = d * 16^i * gen as an affine (x, y), or None for the
-        identity, one row per hex digit of q - 1; one inversion per row."""
-        a, p = self.a, self.p
+        """rows[i][d] = d * 2^(w*i) * gen as an affine (x, y), or None for
+        the identity, for 0 <= d <= 2^(w-1) and w = _GEN_TABLE_WIDTH; one
+        inversion per row.  rows*w exceeds the bit length of q - 1, so the
+        carry of the last signed digit below q lands in a row."""
+        a, p, w = self.a, self.p, _GEN_TABLE_WIDTH
         base = (self.gx, self.gy)
         rows = []
-        for _ in range(((self.q - 1).bit_length() + 3) // 4):
+        for _ in range(((self.q - 1).bit_length() + w) // w):
             x, y = base
             row = [(1, 1, 0), (x, y, 1)]
-            while len(row) < 17:
+            while len(row) <= 1 << (w - 1):
                 row.append(_jacobian_add_affine(row[-1], x, y, a, p))
-            # 16 * 16^i * gen is the next row's base; it is the identity only
-            # after the last row, when q = 2.
-            *row, base = _to_affine(row, p)
+            # 2^w * 2^(w*i) * gen is the next row's base; it is the identity
+            # only after the last row, when q = 2.
+            *row, base = _to_affine(row + [_jacobian_double(row[-1], a, p)], p)
             rows.append(row)
         return rows
 
@@ -361,7 +408,7 @@ class Curve:
         beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(q)
         if self.a != 0 or beta is None or lam is None:
             return None
-        x, y, z = _joint_mul([(lam, self.gx, self.gy)], 0, p)
+        x, y, z = _joint_mul([(lam, [(self.gx, self.gy)])], 2, 0, p)
         zz = z * z % p
         for beta in (beta, beta * beta % p):
             if z and x == beta * self.gx * zz % p and y == self.gy * zz * z % p:
@@ -372,24 +419,35 @@ class Curve:
         """k-fold sum of u; negative k multiplies -u.
 
         k is used as given, not reduced mod q, and each call ends with one
-        inversion.  The module docstring describes the three paths and the
+        inversion; the split path inverts once more, for its table of odd
+        multiples.  The module docstring describes the three paths and the
         generator table that the first k*gen builds.
         """
         self._require_on_curve(u)
         a, p = self.a, self.p
         if 0 < k < self.q and u.x == self.gx and u.y == self.gy:
+            # Signed radix-2^w digits in (-2^(w-1), 2^(w-1)], one per row.
+            w = _GEN_TABLE_WIDTH
+            half = 1 << (w - 1)
             acc = (1, 1, 0)
             for row in self._gen_table:
-                entry = row[k & 15]
+                d = k & (2 * half - 1)
+                k >>= w
+                if d > half:
+                    d -= 2 * half
+                    k += 1
+                entry = row[abs(d)]
                 if entry:
-                    acc = _jacobian_add_affine(acc, *entry, a, p)
-                k >>= 4
+                    x, y = entry
+                    acc = _jacobian_add_affine(acc, x, y if d > 0 else p - y, a, p)
         elif k == 0 or u.is_identity:
             return IDENTITY
         elif 0 < k < self.q and self._endomorphism:
             beta, _, basis = self._endomorphism
             k1, k2 = _glv_split(k, self.q, basis)
-            acc = _joint_mul([(k1, u.x, u.y), (k2, beta * u.x % p, u.y)], a, p)
+            table = _odd_multiples(u.x, u.y, _GLV_WIDTH, a, p)
+            phi_table = [e and (beta * e[0] % p, e[1]) for e in table]
+            acc = _joint_mul([(k1, table), (k2, phi_table)], _GLV_WIDTH, a, p)
         else:
             x, y = u.x, (u.y if k > 0 else p - u.y)
             acc = (x, y, 1)

@@ -72,7 +72,7 @@ class LogicalClock:
 
     def advance(self, ticks: int):
         if ticks < 0:
-            raise ValueError("logical clocks only move forward")
+            raise ValueError("ticks must be non-negative: logical clocks only move forward")
         self.now += ticks
 
 
@@ -435,8 +435,6 @@ def run_ephemeral_compromise_attack(
     session key as the victim whenever the replay is accepted.  delay may be
     any non-negative value; delay=0 is the strictly easier live-session case.
     """
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
     return _run_attack(
         AttackKind.EPHEMERAL_COMPROMISE, seed, variant, delay, window, curve, True, impersonate
     )

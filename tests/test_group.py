@@ -356,6 +356,9 @@ def count_calls(monkeypatch, owner, name):
 
 def test_secp256k1_mul_inverts_once_and_never_adds(production_curve, monkeypatch):
     c = production_curve
+    # A first k*G builds the generator table, so the count holds in any test
+    # order.
+    c.mul(1, c.gen)
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     adds = count_calls(monkeypatch, Curve, "add")
     k = c.q - 1
@@ -387,23 +390,45 @@ def test_generator_table_built_on_first_use_with_one_inversion_per_row(monkeypat
     mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
+    doubles = count_calls(monkeypatch, group, "_jacobian_double")
     assert c.mul(c.q - 1, c.gen) == c.negate(c.gen)
-    # 64 rows of 15 sums and one inversion each to build the table, then one
-    # sum per non-zero hex digit of q - 1 (61 of its 64) and one inversion.
-    assert sum(d != "0" for d in f"{c.q - 1:x}") == 61
-    assert len(inversions) == 64 + 1
-    assert len(mixed_adds) == 64 * 15 + 61
+    # 43 rows of 31 sums, one doubling to the next row's base and one
+    # inversion each to build the table (the first sum, 2 * base, doubles
+    # too), then one sum per non-zero signed digit of q - 1 (22 of its 43)
+    # and one inversion.
+    w = group._GEN_TABLE_WIDTH
+    assert w == 6 and len(c._gen_table) == 43 and 43 * w >= 256 + 1
+    assert sum(d != 0 for d in _signed_digits(c.q - 1, w, 43)) == 22
+    assert len(inversions) == 43 + 1
+    assert len(mixed_adds) == 43 * 31 + 22
+    assert len(doubles) == 43 * 2
     assert adds == []
     assert len(point_checks) == 1
     inversions.clear()
     mixed_adds.clear()
-    doubles = count_calls(monkeypatch, group, "_jacobian_double")
-    k = 2 ** 130 + 3  # two non-zero hex digits: 4 * 16^32 + 3
+    doubles.clear()
+    k = 2 ** 130 + 3  # two non-zero signed digits: 16 * 64^21 + 3
     product = c.mul(k, c.gen)
     assert doubles == []
     assert len(inversions) == 1
     assert len(mixed_adds) == 2
     assert product == c.mul(-k, c.negate(c.gen))
+
+
+def _signed_digits(k, w, rows):
+    """k's digits in radix 2^w, each in (-2^(w-1), 2^(w-1)], lowest first:
+    the digits the generator table is read with.  Checks that they fit in
+    rows digits and sum back to k."""
+    digits = []
+    rest = k
+    for _ in range(rows):
+        d = rest % 2 ** w
+        if d > 2 ** (w - 1):
+            d -= 2 ** w
+        digits.append(d)
+        rest = (rest - d) // 2 ** w
+    assert rest == 0 and sum(d * 2 ** (w * i) for i, d in enumerate(digits)) == k
+    return digits
 
 
 def _largest_without_zero_hex_digit(n):
@@ -418,14 +443,38 @@ def _largest_without_zero_hex_digit(n):
 
 def test_secp256k1_generator_table_matches_double_and_add(production_curve):
     """mul(k, G) reads the generator table; -G is not the generator, so
-    mul(-k, -G) runs the double-and-add loop and must land on the same point."""
+    mul(-k, -G) runs the double-and-add loop and must land on the same point.
+    The scalars put each signed digit at the edges of its range: 2^(w-1),
+    the largest that does not carry, and 2^(w-1) + 1, the smallest that
+    does, in every row; carries that run through every row into the last
+    one; and q - 1."""
     c = production_curve
     minus_gen = c.negate(c.gen)
+    w, rows = group._GEN_TABLE_WIDTH, len(c._gen_table)
+    radix, half = 2 ** w, 2 ** (w - 1)
+    assert len(c._gen_table[0]) == half + 1
     dense = _largest_without_zero_hex_digit(c.q - 1)
     assert dense < c.q and "0" not in f"{dense:x}" and len(f"{dense:x}") == 64
     scalars = {1, 15, 16, 17, c.q - 16, c.q - 1, dense}
     for i in range(1, 64):
         scalars |= {16 ** i - 1, 16 ** i, 16 ** i + 1}
+    # Every digit 2^(w-1), no carry; every digit carrying, so the top row
+    # takes a carry; and 2^(w*(rows-1)) - 1, whose -1 digit carries through
+    # every row to a 1 in the last.
+    all_half = sum(half * radix ** i for i in range(rows - 1))
+    all_carry = sum((half + 1) * radix ** i for i in range(rows - 1))
+    run_to_top = radix ** (rows - 1) - 1
+    assert set(_signed_digits(all_half, w, rows)[:-1]) == {half}
+    assert set(_signed_digits(all_carry, w, rows)[1:-1]) == {2 - half}
+    assert _signed_digits(all_carry, w, rows)[-1] == 1
+    assert _signed_digits(run_to_top, w, rows) == [-1] + [0] * (rows - 2) + [1]
+    assert max(all_half, all_carry, run_to_top) < c.q
+    scalars |= {all_half, all_carry, run_to_top}
+    for i in range(rows):
+        scalars |= {half * radix ** i, (half + 1) * radix ** i, radix ** i - 1}
+    scalars = {k for k in scalars if k < c.q}
+    # q - 1 has a non-zero digit in the last row.
+    assert _signed_digits(c.q - 1, w, rows)[-1] != 0
     seeded = random.Random(6301)
     scalars |= {seeded.randrange(1, c.q) for _ in range(5)}
     for k in sorted(scalars):
@@ -479,18 +528,26 @@ def test_secp256k1_mul_of_other_points_matches_cryptography_ecdh(production_curv
 def test_mul_on_an_a0_curve_matches_repeated_addition():
     """y^2 = x^3 + 3 over F_79 has 97 points and p = 1 (mod 3), so mul splits
     k with the endomorphism; every point and every k in [-2q, 3q).  On the
-    tiny curves with q = 2, 3 and 13 some generator-table entries are the
-    identity (d*gen for even d, for d = 3, 6, ..., 15 and for d = 13), and
-    the q = 13 one splits k too."""
+    tiny curves with q = 2, 3 and 13 the generator table is one row of
+    d*gen for 0 <= d <= 32, and some entries are the identity (d*gen for
+    even d, for d = 3, 6, ..., 30 and for d = 13 and 26), and the q = 13
+    one splits k too, with 13*u the identity in its table of odd multiples.
+    y^2 = x^3 + 3 over F_31 has q = 43, and 42 has 6 bits, one row's worth:
+    a second row takes the carry of each k with a digit above 32."""
     a0 = validate_params(79, 0, 3, 1, 2, 97)
     q2 = validate_params(5, 2, 0, 0, 0, 2)
     q3 = validate_params(5, 4, 2, 3, 1, 3)
     q13 = validate_params(7, 0, 3, 1, 2, 13)
+    q43 = validate_params(31, 0, 3, 1, 2, 43)
     assert a0._endomorphism is not None and q13._endomorphism is not None
     assert TOY_CURVE._endomorphism is None and q3._endomorphism is None
-    assert q2._gen_table[0][2] is None and q3._gen_table[0][3] is None
-    assert q13._gen_table[0][13] is None
-    for c in (a0, q2, q3, q13):
+    for c in (q2, q3, q13):
+        (row,) = c._gen_table
+        assert len(row) == 33
+        assert [d for d, entry in enumerate(row) if entry is None] == list(range(0, 33, c.q))
+    assert [len(row) for row in a0._gen_table] == [33, 33]
+    assert [len(row) for row in q43._gen_table] == [33, 33]
+    for c in (a0, q2, q3, q13, q43):
         q = c.q
         for u in c.points():
             multiples = [IDENTITY]
@@ -539,7 +596,10 @@ def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
     k = c.q - 12345
     first = c.mul(k, P)
     assert "_endomorphism" in c.__dict__
-    assert len(inversions) == 1
+    # The derivation reads lam in plain NAF (w = 2), so it needs no table and
+    # no inversion; the mul inverts once for its table of odd multiples and
+    # once at the end.
+    assert len(inversions) == 2
     assert adds == []
     assert len(point_checks) == 1
     assert len(muls) == 1
@@ -547,7 +607,9 @@ def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
     k = 2 ** 255 + 2 ** 130 + 3
     assert k.bit_length() == 256 and k < c.q
     second = c.mul(k, P)
-    assert len(doubles) <= 129
+    # One doubling for 2P in the table, then one per digit below the
+    # highest non-zero one of the two 128-bit halves.
+    assert len(doubles) == 1 + 123
     assert first == c.negate(c.mul(12345, P))
     assert second == c.mul(k + c.q, P)
 
@@ -571,19 +633,36 @@ def _carry_scalars(bits):
     return sorted(scalars)
 
 
-def test_naf_masks_are_a_non_adjacent_signed_form():
+def _naf_oracle(k):
+    """(pos, neg) bit masks of the +1 and -1 digits of k's NAF: with
+    h = k >> 1 and t = k + h, the non-zero digits sit where h and t differ,
+    +1 where t has the bit and -1 where h has it."""
+    h = k >> 1
+    t = k + h
+    return t & ~h, h & ~t
+
+
+def test_wnaf_digits_are_a_width_w_non_adjacent_form():
     seeded = random.Random(8301)
-    for k in list(range(4096)) + [seeded.getrandbits(256) for _ in range(50)]:
-        pos, neg = group._naf_masks(k)
-        assert pos - neg == k and pos & neg == 0, k
-        nonzero = pos | neg
-        assert nonzero & (nonzero >> 1) == 0, k
+    scalars = list(range(4096)) + [seeded.getrandbits(256) for _ in range(50)]
+    for w in (2, 3, 4, 5, 6):
+        for k in scalars:
+            digits = group._wnaf(k, w)
+            assert sum(d << i for i, d in digits) == k, (w, k)
+            for (i, d), (j, _) in zip(digits, digits[1:] + [(None, None)]):
+                assert d % 2 == 1 and abs(d) < 2 ** (w - 1), (w, k, d)
+                assert j is None or j - i >= w, (w, k, i, j)
+            if w == 2:
+                pos = sum(1 << i for i, d in digits if d == 1)
+                neg = sum(1 << i for i, d in digits if d == -1)
+                assert (pos, neg) == _naf_oracle(k), k
 
 
 @pytest.mark.parametrize("which", ["a0", "secp256k1"])
 def test_joint_mul_signed_digits_match_the_plain_loop(which, production_curve):
-    """One and two terms of _joint_mul against mul(k + q, u), which takes the
-    plain double-and-add loop because k + q >= q."""
+    """One and two terms of _joint_mul, with and without a sign, at every
+    width the tests use, against mul(k + q, u), which takes the plain
+    double-and-add loop because k + q >= q."""
     if which == "a0":
         c = validate_params(79, 0, 3, 1, 2, 97)
         bits = range(1, 258)
@@ -593,12 +672,48 @@ def test_joint_mul_signed_digits_match_the_plain_loop(which, production_curve):
     seeded = random.Random(8303)
     P, Q = (c.mul(seeded.randrange(2, c.q), c.gen) for _ in range(2))
     scalars = _carry_scalars(bits)
-    for k, l in zip(scalars, reversed(scalars)):
-        one = group._joint_mul([(k, P.x, P.y)], c.a, c.p)
-        assert _affine(c, one) == c.mul(k + c.q, P), hex(k)
-        two = group._joint_mul([(k, P.x, P.y), (l, Q.x, Q.y)], c.a, c.p)
-        expected = c.add(c.mul(k + c.q, P), c.mul(l + c.q, Q))
-        assert _affine(c, two) == expected, (hex(k), hex(l))
+    for w in (2, 3, group._GLV_WIDTH):
+        if w == 2:
+            tables = [[(P.x, P.y)], [(Q.x, Q.y)]]
+        else:
+            tables = [group._odd_multiples(u.x, u.y, w, c.a, c.p) for u in (P, Q)]
+        for k, l in zip(scalars, reversed(scalars)):
+            one = group._joint_mul([(k, tables[0])], w, c.a, c.p)
+            assert _affine(c, one) == c.mul(k + c.q, P), (w, hex(k))
+            two = group._joint_mul([(k, tables[0]), (-l, tables[1])], w, c.a, c.p)
+            expected = c.add(c.mul(k + c.q, P), c.mul(-l - c.q, Q))
+            assert _affine(c, two) == expected, (w, hex(k), hex(l))
+
+
+def test_odd_multiples_match_the_plain_loop(production_curve):
+    """Entry j of the table is (2j + 1)*u as mul(2j + 1 + q, u) computes it
+    through the plain loop, None where that is the identity: on secp256k1,
+    on every point of the p = 79 curve, on the q = 13 curve, where 13*u is
+    the identity, which _joint_mul skips, and 15*u is 2*u (the sum after the
+    identity), and on TOY (a = 2), where 21*u + 2*u doubles on the
+    isomorphic curve."""
+    seeded = random.Random(8305)
+    c = production_curve
+    cases = [(c, c.mul(seeded.randrange(2, c.q), c.gen)) for _ in range(3)]
+    a0 = validate_params(79, 0, 3, 1, 2, 97)
+    q13 = validate_params(7, 0, 3, 1, 2, 13)
+    cases += [(curve, u) for curve in (a0, q13, TOY_CURVE) for u in curve.points() if u.x is not None]
+    for curve, u in cases:
+        for w in (3, 4, group._GLV_WIDTH, 6):
+            table = group._odd_multiples(u.x, u.y, w, curve.a, curve.p)
+            assert len(table) == 2 ** (w - 2), (w, u)
+            for j, entry in enumerate(table):
+                expected = curve.mul(2 * j + 1 + curve.q, u)
+                assert (entry is None) == expected.is_identity, (w, u, j)
+                assert entry is None or Point(*entry) == expected, (w, u, j)
+        if curve is q13:
+            # _joint_mul skips the identity entry that a digit 13 reads.
+            table = group._odd_multiples(u.x, u.y, 5, curve.a, curve.p)
+            assert table[6] is None and Point(*table[7]) == curve.mul(2, u)
+            assert group._wnaf(13, 5) == [(0, 13)]
+            for k in range(-3 * curve.q, 3 * curve.q):
+                total = group._joint_mul([(k, table)], 5, curve.a, curve.p)
+                assert _affine(curve, total) == curve.mul(k + 6 * curve.q, u), (u, k)
 
 
 def test_jacobian_double_with_z_not_one(production_curve):
@@ -624,15 +739,22 @@ def test_jacobian_double_with_z_not_one(production_curve):
 
 
 def test_secp256k1_exchange_operation_counts(production_curve, monkeypatch):
-    """NAF digits in the GLV loop leave 517 mixed additions, about a third
-    fewer than the binary digits did (762 for this exchange), with no more
-    doublings."""
+    """Width-5 NAF digits in the GLV loop and signed radix-64 digits in the
+    generator table leave 687 mixed additions (1,063 with plain NAF and hex
+    digits), for six more inversions and three more doublings."""
     c = production_curve
     # A first exchange builds the generator table and the split's constants.
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
     mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
-    # The nine k*G add one table entry per non-zero hex digit: 546 of 576.
-    assert len(mixed_adds) == 517 + 546
-    assert len(doubles) == 757
+    # The nine k*G add one table entry per non-zero signed digit: 382 of
+    # 387.  The six variable-base products add 7 entries each to their
+    # tables of odd multiples, then 263 in the loop, and double once each
+    # for 2u.  Each of the 15 products inverts once at the end and each
+    # variable-base one once more for its table, and the two verifies add
+    # two points each with one inversion.
+    assert len(mixed_adds) == 6 * 7 + 263 + 382
+    assert len(doubles) == 760
+    assert len(inversions) == 15 + 6 + 4
