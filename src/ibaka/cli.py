@@ -47,6 +47,9 @@ def _non_negative(text: str) -> int:
     return value
 
 
+# Every attack script, by its command-line kind.
+_ATTACKS = {"replay": run_replay_attack, "ephemeral": run_ephemeral_compromise_attack}
+
 # Every option, declared once; subcommands pick theirs by name in help order.
 _OPTIONS = {
     "variant": dict(choices=[v.value for v in Variant], default=Variant.FLAWED.value,
@@ -78,18 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     demo = commands.add_parser("demo", help="run one honest exchange")
+    demo.set_defaults(handler=_cmd_demo)
     _add_options(demo, "variant", "seed", "window", "curve", "output")
 
     attack = commands.add_parser("attack", help="run a man-in-the-middle script")
-    attack.add_argument("kind", choices=["replay", "ephemeral"])
+    attack.set_defaults(handler=_cmd_attack)
+    attack.add_argument("kind", choices=_ATTACKS)
     _add_options(attack, "variant", "seed", "window", "delay", "curve", "output", "expect")
 
     selftest = commands.add_parser("selftest", help="run the invariant suites")
+    selftest.set_defaults(handler=_cmd_selftest)
     _add_options(selftest, "output")
 
     keygen = commands.add_parser(
         "keygen", help="PKG setup plus key extraction, written as a key file"
     )
+    keygen.set_defaults(handler=_cmd_keygen)
     _add_options(
         keygen, "seed", "id", "curve", "output", output={"help": "write the key file here"}
     )
@@ -122,8 +129,7 @@ def _cmd_demo(args) -> int:
 
 def _cmd_attack(args) -> int:
     curve = _resolve_curve(args.curve)
-    runner = {"replay": run_replay_attack, "ephemeral": run_ephemeral_compromise_attack}
-    report = runner[args.kind](
+    report = _ATTACKS[args.kind](
         args.seed, Variant(args.variant), args.delay, window=args.window, curve=curve
     )
     _emit(report.to_json(), args.output)
@@ -279,14 +285,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "demo": _cmd_demo,
-        "attack": _cmd_attack,
-        "selftest": _cmd_selftest,
-        "keygen": _cmd_keygen,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (CurveParameterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -388,7 +388,7 @@ class Curve:
         rows = []
         for _ in range(((self.q - 1).bit_length() + w) // w):
             x, y = base
-            row = [(1, 1, 0), (x, y, 1)]
+            row = [(1, 1, 0), (x, y, 1), _jacobian_double((x, y, 1), a, p)]
             while len(row) <= 1 << (w - 1):
                 row.append(_jacobian_add_affine(row[-1], x, y, a, p))
             # 2^w * 2^(w*i) * gen is the next row's base; it is the identity

@@ -65,10 +65,10 @@ class FieldOutOfRange(ValueError):
 
 
 class LogicalClock:
-    """Harness-driven tick counter; advances, never rewinds."""
+    """Harness-driven tick counter from START_TICKS; advances, never rewinds."""
 
-    def __init__(self, start: int = START_TICKS):
-        self.now = start
+    def __init__(self):
+        self.now = START_TICKS
 
     def advance(self, ticks: int):
         if ticks < 0:
@@ -78,7 +78,10 @@ class LogicalClock:
 
 @dataclass(frozen=True)
 class Party:
-    """One protocol endpoint: fixed role, keys, variant, freshness window."""
+    """One protocol endpoint: fixed role, keys, variant, freshness window.
+
+    Each step records its own transcript event at the shared clock's time.
+    """
 
     role: Role
     keys: EntityKeyPair
@@ -86,6 +89,7 @@ class Party:
     window: int
     clock: LogicalClock
     master_public: Point
+    transcript: Transcript
 
     @property
     def id(self) -> str:
@@ -95,22 +99,37 @@ class Party:
     def curve(self) -> Curve:
         return self.keys.curve
 
-    def build_toward(self, peer_id: str, rng) -> tuple[bytes, int]:
+    def send(self, peer_id: str, rng) -> tuple[bytes, int]:
         msg, y = build_message(self.keys, peer_id, self.clock.now, self.variant, rng)
-        return encode_message(self.curve, msg), y
+        wire = encode_message(self.curve, msg)
+        self.transcript.record(self.clock.now, self.role, "SEND", wire)
+        return wire, y
 
     def receive(self, wire: bytes) -> VerifiedPeer:
-        msg = decode_message(self.curve, wire)
-        return verify_message(
-            self.curve, msg, self.id, self.master_public,
-            self.clock.now, self.window, self.variant,
-        )
+        """Decode and verify, recording the verdict either way."""
+        try:
+            verified = verify_message(
+                self.curve, decode_message(self.curve, wire), self.id, self.master_public,
+                self.clock.now, self.window, self.variant,
+            )
+        except ProtocolError as exc:
+            action = f"VERIFY_FAIL({type(exc).__name__})"
+            self.transcript.record(self.clock.now, self.role, action, wire)
+            raise
+        self.transcript.record(self.clock.now, self.role, "VERIFY_OK", wire)
+        return verified
 
-    def session_key(self, peer_id: str, own_secret: int, peer_Y: Point) -> bytes:
-        # The server's identity always hashes first.
-        if self.role is Role.SERVER:
-            return derive_session_key(self.curve, self.id, peer_id, own_secret, peer_Y)
-        return derive_session_key(self.curve, peer_id, self.id, own_secret, peer_Y)
+    def derive(self, peer: VerifiedPeer, own_secret: int) -> bytes:
+        key = _session_key(self.curve, self.role, self.id, peer.peer_id, own_secret, peer.Y)
+        self.transcript.record(self.clock.now, self.role, "DERIVE_KEY", key)
+        return key
+
+
+def _session_key(curve, role, own_id, peer_id, own_secret, peer_Y) -> bytes:
+    """The session key as seen from `role`: the server's identity always hashes first."""
+    if role is Role.SERVER:
+        return derive_session_key(curve, own_id, peer_id, own_secret, peer_Y)
+    return derive_session_key(curve, peer_id, own_id, own_secret, peer_Y)
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,7 @@ class Transcript:
     def __init__(self):
         self.events: list[TranscriptEvent] = []
 
-    def record(self, time: int, actor: Role | str, action: str, payload: bytes = b""):
+    def record(self, time: int, actor: Role | str, action: str, payload: bytes):
         if self.events and time < self.events[-1].time:
             raise ValueError("transcript events must be appended in time order")
         name = actor.value if isinstance(actor, Role) else actor
@@ -192,12 +211,9 @@ class Adversary:
             raise RuntimeError("need the original message and the victim response")
         original = decode_message(self.curve, self.captured[0])
         response = decode_message(self.curve, self.captured[1])
-        if self.impersonating is Role.SERVER:
-            server_id, client_id = original.sender_id, response.sender_id
-        else:
-            server_id, client_id = response.sender_id, original.sender_id
-        return derive_session_key(
-            self.curve, server_id, client_id, self.granted_y, response.Y
+        return _session_key(
+            self.curve, self.impersonating, original.sender_id, response.sender_id,
+            self.granted_y, response.Y,
         )
 
 
@@ -235,13 +251,11 @@ class AttackReport:
     reason: str | None
     attacker_key: bytes | None
     victim_key: bytes | None
-    keys_match: bool
     transcript: Transcript = field(repr=False)
 
-    def __post_init__(self):
-        matched = self.attacker_key is not None and self.attacker_key == self.victim_key
-        if self.keys_match and not matched:
-            raise ValueError("keys_match requires equal attacker and victim keys")
+    @property
+    def keys_match(self) -> bool:
+        return self.attacker_key is not None and self.attacker_key == self.victim_key
 
     def to_dict(self) -> dict:
         return {
@@ -259,44 +273,20 @@ class AttackReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _setup(seed, variant, window, curve, clock):
-    """PKG setup and key extraction for both identities, in a fixed order."""
+def _setup(seed, variant, window, curve):
+    """PKG setup and key extraction for both identities, in a fixed order.
+
+    The two parties share one clock and one transcript.
+    """
     rng = DeterministicRandom(seed)
     master = pkg_setup(curve, rng)
-    server = Party(
-        Role.SERVER, extract_key(master, SERVER_ID, rng),
-        variant, window, clock, master.public,
-    )
-    client = Party(
-        Role.CLIENT, extract_key(master, CLIENT_ID, rng),
-        variant, window, clock, master.public,
+    clock, transcript = LogicalClock(), Transcript()
+    server, client = (
+        Party(role, extract_key(master, identity, rng), variant, window, clock,
+              master.public, transcript)
+        for role, identity in ((Role.SERVER, SERVER_ID), (Role.CLIENT, CLIENT_ID))
     )
     return rng, server, client
-
-
-def _send(transcript, party, peer_id, rng):
-    wire, y = party.build_toward(peer_id, rng)
-    transcript.record(party.clock.now, party.role, "SEND", wire)
-    return wire, y
-
-
-def _deliver(transcript, party, wire):
-    """Decode and verify at the receiving party, recording the verdict."""
-    try:
-        verified = party.receive(wire)
-    except ProtocolError as exc:
-        transcript.record(
-            party.clock.now, party.role, f"VERIFY_FAIL({type(exc).__name__})", wire
-        )
-        raise
-    transcript.record(party.clock.now, party.role, "VERIFY_OK", wire)
-    return verified
-
-
-def _derive(transcript, party, peer: VerifiedPeer, own_secret):
-    key = party.session_key(peer.peer_id, own_secret, peer.Y)
-    transcript.record(party.clock.now, party.role, "DERIVE_KEY", key)
-    return key
 
 
 def run_honest_exchange(
@@ -308,36 +298,35 @@ def run_honest_exchange(
     curve: Curve = TOY_CURVE,
 ) -> ExchangeResult:
     """Both messages built, delivered, and verified; both keys derived."""
-    clock = LogicalClock()
-    rng, server, client = _setup(seed, variant, window, curve, clock)
-    transcript = Transcript()
+    rng, server, client = _setup(seed, variant, window, curve)
+    clock = server.clock
 
     if message_order is MessageOrder.SERVER_FIRST:
-        wire_s, y_s = _send(transcript, server, client.id, rng)
+        wire_s, y_s = server.send(client.id, rng)
         clock.advance(1)
-        seen_server = _deliver(transcript, client, wire_s)
-        wire_c, y_c = _send(transcript, client, server.id, rng)
+        seen_server = client.receive(wire_s)
+        wire_c, y_c = client.send(server.id, rng)
         clock.advance(1)
-        seen_client = _deliver(transcript, server, wire_c)
+        seen_client = server.receive(wire_c)
     elif message_order is MessageOrder.CLIENT_FIRST:
-        wire_c, y_c = _send(transcript, client, server.id, rng)
+        wire_c, y_c = client.send(server.id, rng)
         clock.advance(1)
-        seen_client = _deliver(transcript, server, wire_c)
-        wire_s, y_s = _send(transcript, server, client.id, rng)
+        seen_client = server.receive(wire_c)
+        wire_s, y_s = server.send(client.id, rng)
         clock.advance(1)
-        seen_server = _deliver(transcript, client, wire_s)
+        seen_server = client.receive(wire_s)
     elif message_order is MessageOrder.PARALLEL:
-        wire_s, y_s = _send(transcript, server, client.id, rng)
-        wire_c, y_c = _send(transcript, client, server.id, rng)
+        wire_s, y_s = server.send(client.id, rng)
+        wire_c, y_c = client.send(server.id, rng)
         clock.advance(1)
-        seen_client = _deliver(transcript, server, wire_c)
-        seen_server = _deliver(transcript, client, wire_s)
+        seen_client = server.receive(wire_c)
+        seen_server = client.receive(wire_s)
     else:
         raise ValueError(f"unknown message order {message_order!r}")
 
-    server_key = _derive(transcript, server, seen_client, y_s)
-    client_key = _derive(transcript, client, seen_server, y_c)
-    return ExchangeResult(variant, message_order, server_key, client_key, transcript)
+    server_key = server.derive(seen_client, y_s)
+    client_key = client.derive(seen_server, y_c)
+    return ExchangeResult(variant, message_order, server_key, client_key, server.transcript)
 
 
 def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate):
@@ -349,14 +338,13 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     and it derives its own key, succeeding only if that equals the victim's.
     """
     compromise = kind is AttackKind.EPHEMERAL_COMPROMISE
-    clock = LogicalClock()
-    rng, server, client = _setup(seed, variant, window, curve, clock)
+    rng, server, client = _setup(seed, variant, window, curve)
+    clock, transcript = server.clock, server.transcript
     # The impersonated party sends the intercepted message; the other verifies.
     impersonated, victim = (server, client) if impersonate is Role.SERVER else (client, server)
-    transcript = Transcript()
     adversary = Adversary(curve, impersonating=impersonate)
 
-    wire, y_sent = _send(transcript, impersonated, victim.id, rng)
+    wire, y_sent = impersonated.send(victim.id, rng)
     adversary.intercept(wire)
     if compromise:
         adversary.grant_ephemeral(y_sent)
@@ -370,31 +358,27 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     transcript.record(clock.now, ADVERSARY, "REPLAY", replay_wire)
 
     try:
-        accepted = _deliver(transcript, victim, replay_wire)
+        accepted = victim.receive(replay_wire)
     except ProtocolError as exc:
         return AttackReport(
-            kind, variant, Outcome.DEFEATED, type(exc).__name__, None, None, False, transcript
+            kind, variant, Outcome.DEFEATED, type(exc).__name__, None, None, transcript
         )
 
     # The victim believes the session is live: it responds and derives a key.
-    response_wire, y_victim = _send(transcript, victim, accepted.peer_id, rng)
+    response_wire, y_victim = victim.send(accepted.peer_id, rng)
     if compromise:
         adversary.intercept(response_wire)
         transcript.record(clock.now, ADVERSARY, "INTERCEPT", response_wire)
-    victim_key = _derive(transcript, victim, accepted, y_victim)
+    victim_key = victim.derive(accepted, y_victim)
     if not compromise:
-        return AttackReport(
-            kind, variant, Outcome.SUCCEEDED, None, None, victim_key, False, transcript
-        )
+        return AttackReport(kind, variant, Outcome.SUCCEEDED, None, None, victim_key, transcript)
 
     attacker_key = adversary.compute_session_key()
     transcript.record(clock.now, ADVERSARY, "DERIVE_KEY", attacker_key)
-    keys_match = attacker_key == victim_key
-    outcome = Outcome.SUCCEEDED if keys_match else Outcome.DEFEATED
-    reason = None if keys_match else "SessionKeyMismatch"
-    return AttackReport(
-        kind, variant, outcome, reason, attacker_key, victim_key, keys_match, transcript
-    )
+    matched = attacker_key == victim_key
+    outcome = Outcome.SUCCEEDED if matched else Outcome.DEFEATED
+    reason = None if matched else "SessionKeyMismatch"
+    return AttackReport(kind, variant, outcome, reason, attacker_key, victim_key, transcript)
 
 
 def run_replay_attack(

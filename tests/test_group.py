@@ -392,15 +392,14 @@ def test_generator_table_built_on_first_use_with_one_inversion_per_row(monkeypat
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
     assert c.mul(c.q - 1, c.gen) == c.negate(c.gen)
-    # 43 rows of 31 sums, one doubling to the next row's base and one
-    # inversion each to build the table (the first sum, 2 * base, doubles
-    # too), then one sum per non-zero signed digit of q - 1 (22 of its 43)
-    # and one inversion.
+    # 43 rows of one doubling for 2 * base, 30 sums, one doubling to the
+    # next row's base and one inversion each to build the table, then one
+    # sum per non-zero signed digit of q - 1 (22 of its 43) and one inversion.
     w = group._GEN_TABLE_WIDTH
     assert w == 6 and len(c._gen_table) == 43 and 43 * w >= 256 + 1
     assert sum(d != 0 for d in _signed_digits(c.q - 1, w, 43)) == 22
     assert len(inversions) == 43 + 1
-    assert len(mixed_adds) == 43 * 31 + 22
+    assert len(mixed_adds) == 43 * 30 + 22
     assert len(doubles) == 43 * 2
     assert adds == []
     assert len(point_checks) == 1

@@ -9,25 +9,21 @@ import pytest
 
 from ibaka.group import PointNotOnCurve, TOY_CURVE
 from ibaka.ibs import Variant
-from ibaka.protocol import MalformedMessage, OffCurvePoint, ProtocolError
-from ibaka.sim import (
-    Adversary,
-    LogicalClock,
-    TamperField,
-    Transcript,
-    _deliver,
-    _field_spans,
-    _setup,
-    tamper_field,
+from ibaka.protocol import (
+    MalformedMessage,
+    OffCurvePoint,
+    ProtocolError,
+    build_message,
+    encode_message,
 )
+from ibaka.sim import Adversary, TamperField, _field_spans, _setup, tamper_field
 
 
 def seeded_exchange():
-    """The seed-1 client and the server's first wire toward it."""
-    clock = LogicalClock()
-    rng, server, client = _setup(1, Variant.FLAWED, 10, TOY_CURVE, clock)
-    wire, _ = server.build_toward(client.id, rng)
-    return client, wire
+    """The seed-1 client and the server's first wire toward it, not yet recorded."""
+    rng, server, client = _setup(1, Variant.FLAWED, 10, TOY_CURVE)
+    msg, _ = build_message(server.keys, client.id, server.clock.now, server.variant, rng)
+    return client, encode_message(TOY_CURVE, msg)
 
 
 def hostile_wires():
@@ -56,12 +52,12 @@ def test_tamper_field_rejects_malformed_framing():
 def test_off_curve_delivery_is_a_recorded_protocol_error():
     client, wire = seeded_exchange()
     tampered = tamper_field(wire, TamperField.Y, 2, 1)
-    transcript = Transcript()
     with pytest.raises(ProtocolError) as caught:
-        _deliver(transcript, client, tampered)
+        client.receive(tampered)
     assert isinstance(caught.value, OffCurvePoint)
     assert isinstance(caught.value, PointNotOnCurve)
-    assert [e.action for e in transcript.events] == ["VERIFY_FAIL(OffCurvePoint)"]
-    assert transcript.events[0].payload == tampered
+    events = client.transcript.events
+    assert [e.action for e in events] == ["VERIFY_FAIL(OffCurvePoint)"]
+    assert events[0].payload == tampered
     with pytest.raises(OffCurvePoint):
         client.receive(tampered)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ibaka.group import TOY_CURVE
 from ibaka.ibs import Variant
 from ibaka.protocol import ProtocolError, build_message, decode_message, encode_message
-from ibaka.sim import LogicalClock, TamperField, _field_spans, _setup, tamper_field
+from ibaka.sim import TamperField, _field_spans, _setup, tamper_field
 
 reproducible = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -20,16 +20,16 @@ variants = st.sampled_from(Variant)
 
 
 def server_wire(seed, variant):
-    """The client and the server's first encoded message toward it."""
-    rng, server, client = _setup(seed, variant, 10, TOY_CURVE, LogicalClock())
-    wire, _ = server.build_toward(client.id, rng)
-    return client, wire
+    """The client and the server's first encoded message toward it, not yet recorded."""
+    rng, server, client = _setup(seed, variant, 10, TOY_CURVE)
+    msg, _ = build_message(server.keys, client.id, server.clock.now, variant, rng)
+    return client, encode_message(TOY_CURVE, msg)
 
 
 @reproducible
 @given(seed=seeds, variant=variants, t=st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_codec_round_trip(seed, variant, t):
-    rng, server, client = _setup(seed, variant, 10, TOY_CURVE, LogicalClock())
+    rng, server, client = _setup(seed, variant, 10, TOY_CURVE)
     msg, _ = build_message(server.keys, client.id, t, variant, rng)
     assert decode_message(TOY_CURVE, encode_message(TOY_CURVE, msg)) == msg
 

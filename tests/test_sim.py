@@ -4,10 +4,20 @@ import pytest
 
 from ibaka.group import TOY_CURVE
 from ibaka.ibs import Variant, extract_key, pkg_setup
-from ibaka.protocol import build_message, decode_message, encode_message, verify_message
+from ibaka.protocol import (
+    BadSignature,
+    MalformedMessage,
+    StaleTimestamp,
+    build_message,
+    decode_message,
+    encode_message,
+    verify_message,
+)
 from ibaka.rand import DeterministicRandom
 from ibaka.sim import (
     Adversary,
+    AttackKind,
+    AttackReport,
     CLIENT_ID,
     FieldOutOfRange,
     LogicalClock,
@@ -17,6 +27,7 @@ from ibaka.sim import (
     SERVER_ID,
     TamperField,
     Transcript,
+    _setup,
     run_ephemeral_compromise_attack,
     run_honest_exchange,
     run_replay_attack,
@@ -70,6 +81,51 @@ class TestHonestExchange:
         for event in result.transcript.events:
             if event.action == "SEND":
                 decode_message(TOY_CURVE, event.payload)
+
+
+def steps(party):
+    return [(e.time, e.actor, e.action, e.payload) for e in party.transcript.events]
+
+
+class TestPartySteps:
+    """Each Party step appends exactly one event: its role, its action, its payload."""
+
+    def test_send_records_the_wire(self):
+        rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
+        wire, _ = server.send(client.id, rng)
+        assert steps(server) == [(100, "SERVER", "SEND", wire)]
+
+    def test_receive_records_verify_ok(self):
+        rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
+        wire, _ = server.send(client.id, rng)
+        assert client.receive(wire).peer_id == SERVER_ID
+        assert steps(client)[1:] == [(100, "CLIENT", "VERIFY_OK", wire)]
+
+    @pytest.mark.parametrize("error, delay, hostile", [
+        (StaleTimestamp, 11, lambda wire: wire),
+        (BadSignature, 0, lambda wire: tamper_field(wire, TamperField.MU, 0, 0x01)),
+        (MalformedMessage, 0, lambda wire: wire[:-1]),
+    ])
+    def test_receive_records_the_failure_and_reraises(self, error, delay, hostile):
+        rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
+        wire, _ = server.send(client.id, rng)
+        client.clock.advance(delay)
+        bad = hostile(wire)
+        with pytest.raises(error):
+            client.receive(bad)
+        action = f"VERIFY_FAIL({error.__name__})"
+        assert steps(client)[1:] == [(100 + delay, "CLIENT", action, bad)]
+
+    def test_derive_records_the_key_and_both_sides_agree(self):
+        rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
+        wire_s, y_s = server.send(client.id, rng)
+        wire_c, y_c = client.send(server.id, rng)
+        seen_client, seen_server = server.receive(wire_c), client.receive(wire_s)
+        server_key = server.derive(seen_client, y_s)
+        assert steps(server)[4:] == [(100, "SERVER", "DERIVE_KEY", server_key)]
+        client_key = client.derive(seen_server, y_c)
+        assert steps(client)[5:] == [(100, "CLIENT", "DERIVE_KEY", client_key)]
+        assert server_key == client_key
 
 
 class TestReplayAttack:
@@ -228,6 +284,17 @@ class TestAttackReportSerialization:
             if report.keys_match:
                 assert report.attacker_key == report.victim_key
                 assert report.attacker_key is not None
+
+    def test_keys_match_is_derived_from_the_keys(self):
+        def report(attacker_key, victim_key):
+            return AttackReport(
+                AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, Outcome.DEFEATED, None,
+                attacker_key, victim_key, Transcript(),
+            )
+        assert not report(None, None).keys_match
+        assert not report(None, b"k").keys_match
+        assert report(b"k", b"k").keys_match
+        assert not report(b"k", b"j").keys_match
 
     def test_event_times_non_decreasing(self):
         report = run_replay_attack(2, Variant.FLAWED)
