@@ -184,8 +184,10 @@ def _selftest_checks():
     def scalar_mul_oracle():
         """mul(k, u) against repeated add for every point and 0 <= k < 2q, on
         TOY and on the a = 0 curve y^2 = x^3 + 3 over F_79; that covers every
-        path: the generator table and the endomorphism split for 0 < k < q,
-        the double-and-add loop for q <= k < 2q."""
+        path for 0 < k < q: the generator table read with k itself on TOY and
+        with the endomorphism split's halves on the F_79 curve, and the
+        split for other points; and the double-and-add loop for
+        q <= k < 2q."""
         for c in (curve, validate_params(79, 0, 3, 1, 2, 97)):
             for u in c.points():
                 running = c.mul(0, u)

@@ -5,14 +5,19 @@ Jacobian coordinates, with a field inversion or two per call rather than one
 per bit, and adds with one formula: a Jacobian point plus an affine one.
 Its paths:
 
-- ``mul(k, gen)`` with ``0 < k < q`` reads k in radix 64 with signed digits
-  in (-32, 32] and adds one entry per non-zero digit from an affine table of
-  multiples of the generator, with no doubling (fixed-base windowing,
-  Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  A negative
-  digit adds the entry's negation, so each row holds d * 64^i * gen for
-  d <= 32 only.  The first such call builds the table, once per ``Curve``,
-  with one inversion per row (Montgomery's simultaneous inversion).  Each
-  call inverts once, at the end.
+- ``mul(k, gen)`` with ``0 < k < q`` reads a scalar in radix 256 with
+  signed digits in (-128, 128] and adds one entry per non-zero digit from an
+  affine table of multiples of the generator, with no doubling (fixed-base
+  windowing, Hankerson-Menezes-Vanstone, Guide to ECC, section 3.3.2).  A
+  negative digit adds the entry's negation, so each row holds
+  d * 256^i * gen for d <= 128 only.  On curves with the endomorphism of
+  the next path, the scalars are the two halves k1, k2 of k, and the table
+  reaches only as far as they do (17 rows on secp256k1): k2's entries are
+  summed first, phi(X, Y, Z) = (beta*X, Y, Z) maps that sum once, and k1's
+  entries join it.  A negative half is added between two negations of the
+  sum.  Other curves read k itself.  The first such call builds the table,
+  once per ``Curve``, with one inversion per row (Montgomery's simultaneous
+  inversion).  Each call inverts once, at the end.
 - On a = 0 curves with p = 1 (mod 3), such as secp256k1, ``mul(k, u)`` with
   ``0 < k < q`` for any other point writes k = k1 + k2*lambda (mod q) with
   k1, k2 half as long as q and sums k1*u + k2*phi(u), where
@@ -149,7 +154,7 @@ def mod_inverse(value: int, modulus: int) -> int:
 # Digit widths: the width-w NAF of the GLV halves in variable-base mul, and
 # the signed radix-2^w digits that index the generator table.
 _GLV_WIDTH = 5
-_GEN_TABLE_WIDTH = 6
+_GEN_TABLE_WIDTH = 8
 
 # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is the
 # identity.  Formulas from Hankerson-Menezes-Vanstone, Guide to ECC, section 3.2.
@@ -277,6 +282,29 @@ def _joint_mul(terms, w, a, p):
     return acc
 
 
+def _add_table_multiple(acc, k, rows, a, p):
+    """acc + k*gen for a Jacobian acc, with rows a generator table as
+    Curve._gen_table builds it and |k| within its reach.  k is read in signed
+    radix-2^w digits in (-2^(w-1), 2^(w-1)], one per row; a negative k is
+    added between two negations of the sum, (X, Y, Z) -> (X, p - Y, Z)."""
+    if k < 0:
+        x, y, z = _add_table_multiple((acc[0], p - acc[1], acc[2]), -k, rows, a, p)
+        return x, p - y, z
+    w = _GEN_TABLE_WIDTH
+    half = 1 << (w - 1)
+    for row in rows:
+        d = k & (2 * half - 1)
+        k >>= w
+        if d > half:
+            d -= 2 * half
+            k += 1
+        entry = row[abs(d)]
+        if entry:
+            x, y = entry
+            acc = _jacobian_add_affine(acc, x, y if d > 0 else p - y, a, p)
+    return acc
+
+
 def _cube_root_of_unity(n):
     """A cube root of 1 mod the prime n other than 1; None unless n = 1 mod 3."""
     if n % 3 != 1:
@@ -381,12 +409,24 @@ class Curve:
     def _gen_table(self):
         """rows[i][d] = d * 2^(w*i) * gen as an affine (x, y), or None for
         the identity, for 0 <= d <= 2^(w-1) and w = _GEN_TABLE_WIDTH; one
-        inversion per row.  rows*w exceeds the bit length of q - 1, so the
-        carry of the last signed digit below q lands in a row."""
+        inversion per row.
+
+        The rows reach the largest scalar mul reads from them, with
+        ``bits`` its bit length.  Without the endomorphism that is q - 1.
+        With it, mul reads the halves of _glv_split: Babai rounding misses
+        the exact solution by at most 1/2 along each basis vector, so
+        |k1| <= (|a1| + |a2|)/2 and |k2| <= (|b1| + |b2|)/2, and bits is the
+        bit length of the larger bound, 128 on secp256k1.  rows*w >= bits + 1,
+        so the carry of the last signed digit lands in a row."""
         a, p, w = self.a, self.p, _GEN_TABLE_WIDTH
+        if self._endomorphism:
+            a1, b1, a2, b2 = self._endomorphism[2]
+            bits = (max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2).bit_length()
+        else:
+            bits = (self.q - 1).bit_length()
         base = (self.gx, self.gy)
         rows = []
-        for _ in range(((self.q - 1).bit_length() + w) // w):
+        for _ in range((bits + w) // w):
             x, y = base
             row = [(1, 1, 0), (x, y, 1), _jacobian_double((x, y, 1), a, p)]
             while len(row) <= 1 << (w - 1):
@@ -402,8 +442,8 @@ class Curve:
         """(beta, lam, basis) with phi(x, y) = (beta*x, y) equal to lam*u on
         every point u, and the short basis that splits scalars; None unless
         a = 0, p = 1 (mod 3) and lam*gen is phi(gen) for one of the two cube
-        roots beta.  Derived on the first mul that can use it, once per
-        Curve, without an inversion."""
+        roots beta.  Derived on the first mul that can use it, a k*gen or a
+        variable-base product, once per Curve, without an inversion."""
         p, q = self.p, self.q
         beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(q)
         if self.a != 0 or beta is None or lam is None:
@@ -419,27 +459,21 @@ class Curve:
         """k-fold sum of u; negative k multiplies -u.
 
         k is used as given, not reduced mod q, and each call ends with one
-        inversion; the split path inverts once more, for its table of odd
-        multiples.  The module docstring describes the three paths and the
-        generator table that the first k*gen builds.
+        inversion; the variable-base split path inverts once more, for its
+        table of odd multiples.  The module docstring describes the three
+        paths and the generator table that the first k*gen builds.
         """
         self._require_on_curve(u)
         a, p = self.a, self.p
         if 0 < k < self.q and u.x == self.gx and u.y == self.gy:
-            # Signed radix-2^w digits in (-2^(w-1), 2^(w-1)], one per row.
-            w = _GEN_TABLE_WIDTH
-            half = 1 << (w - 1)
-            acc = (1, 1, 0)
-            for row in self._gen_table:
-                d = k & (2 * half - 1)
-                k >>= w
-                if d > half:
-                    d -= 2 * half
-                    k += 1
-                entry = row[abs(d)]
-                if entry:
-                    x, y = entry
-                    acc = _jacobian_add_affine(acc, x, y if d > 0 else p - y, a, p)
+            rows = self._gen_table
+            if self._endomorphism:
+                beta, _, basis = self._endomorphism
+                k1, k2 = _glv_split(k, self.q, basis)
+                x, y, z = _add_table_multiple((1, 1, 0), k2, rows, a, p)
+                acc = _add_table_multiple((beta * x % p, y, z), k1, rows, a, p)
+            else:
+                acc = _add_table_multiple((1, 1, 0), k, rows, a, p)
         elif k == 0 or u.is_identity:
             return IDENTITY
         elif 0 < k < self.q and self._endomorphism:

@@ -65,15 +65,22 @@ class FieldOutOfRange(ValueError):
 
 
 class LogicalClock:
-    """Harness-driven tick counter from START_TICKS; advances, never rewinds."""
+    """Harness-driven tick counter from START_TICKS; advances, never rewinds.
+
+    ``now`` is read-only, so ``advance`` is the only way to move the clock.
+    """
 
     def __init__(self):
-        self.now = START_TICKS
+        self._now = START_TICKS
+
+    @property
+    def now(self) -> int:
+        return self._now
 
     def advance(self, ticks: int):
         if ticks < 0:
             raise ValueError("ticks must be non-negative: logical clocks only move forward")
-        self.now += ticks
+        self._now += ticks
 
 
 @dataclass(frozen=True)

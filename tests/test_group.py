@@ -383,30 +383,39 @@ def test_toy_exchange_operation_counts(monkeypatch):
 
 
 def test_generator_table_built_on_first_use_with_one_inversion_per_row(monkeypatch):
-    """On a freshly loaded curve, so no earlier test has built its table."""
+    """On a freshly loaded curve, so no earlier test has built its table or
+    derived the split's constants."""
     c = load_curve_file(SECP256K1_FILE)
-    assert "_gen_table" not in c.__dict__
+    assert "_gen_table" not in c.__dict__ and "_endomorphism" not in c.__dict__
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
     assert c.mul(c.q - 1, c.gen) == c.negate(c.gen)
-    # 43 rows of one doubling for 2 * base, 30 sums, one doubling to the
-    # next row's base and one inversion each to build the table, then one
-    # sum per non-zero signed digit of q - 1 (22 of its 43) and one inversion.
+    assert "_endomorphism" in c.__dict__
+    # The table's rows reach the 128-bit halves: 17 rows of one doubling for
+    # 2 * base, 126 sums, one doubling to the next row's base and one
+    # inversion each.  Deriving the endomorphism reads lam in plain NAF: 83
+    # sums and 256 doublings, with no inversion.  q - 1 splits to (-1, 0),
+    # one sum, and the product inverts once.
     w = group._GEN_TABLE_WIDTH
-    assert w == 6 and len(c._gen_table) == 43 and 43 * w >= 256 + 1
-    assert sum(d != 0 for d in _signed_digits(c.q - 1, w, 43)) == 22
-    assert len(inversions) == 43 + 1
-    assert len(mixed_adds) == 43 * 30 + 22
-    assert len(doubles) == 43 * 2
+    assert w == 8 and len(c._gen_table) == 17 and 17 * w >= 128 + 1
+    assert [len(row) for row in c._gen_table] == [129] * 17
+    _, lam, basis = c._endomorphism
+    assert group._glv_split(c.q - 1, c.q, basis) == (-1, 0)
+    assert len(group._wnaf(lam, 2)) == 83 and group._wnaf(lam, 2)[-1][0] == 256
+    assert len(inversions) == 17 + 1
+    assert len(mixed_adds) == 17 * 126 + 83 + 1 == 2226
+    assert len(doubles) == 17 * 2 + 256 == 290
     assert adds == []
     assert len(point_checks) == 1
     inversions.clear()
     mixed_adds.clear()
     doubles.clear()
-    k = 2 ** 130 + 3  # two non-zero signed digits: 16 * 64^21 + 3
+    # k1 = 3 and k2 = 2^120 = 1 * 256^15: one non-zero signed digit each.
+    k = (3 + 2 ** 120 * lam) % c.q
+    assert group._glv_split(k, c.q, basis) == (3, 2 ** 120)
     product = c.mul(k, c.gen)
     assert doubles == []
     assert len(inversions) == 1
@@ -430,52 +439,45 @@ def _signed_digits(k, w, rows):
     return digits
 
 
-def _largest_without_zero_hex_digit(n):
-    """Largest k <= n none of whose hex digits is 0."""
-    digits = f"{n:x}"
-    zero = digits.find("0")
-    if zero < 0:
-        return n
-    head = _largest_without_zero_hex_digit(int(digits[:zero], 16) - 1)
-    return int(f"{head:x}" + "f" * (len(digits) - zero), 16)
-
-
 def test_secp256k1_generator_table_matches_double_and_add(production_curve):
-    """mul(k, G) reads the generator table; -G is not the generator, so
-    mul(-k, -G) runs the double-and-add loop and must land on the same point.
-    The scalars put each signed digit at the edges of its range: 2^(w-1),
-    the largest that does not carry, and 2^(w-1) + 1, the smallest that
-    does, in every row; carries that run through every row into the last
-    one; and q - 1."""
+    """mul(k, G) reads the generator table with the two halves of k;
+    -G is not the generator, so mul(-k, -G) runs the double-and-add loop and
+    must land on the same point.  Each k is made from chosen halves
+    (k1, k2), k = k1 + k2*lam (mod q), that _glv_split gives back, so the
+    halves put each signed digit at the edges of its range: 2^(w-1), the
+    largest that does not carry, and 2^(w-1) + 1, the smallest that does,
+    in every row; carries that run through every row into the last one;
+    and both signs.  q - 1 splits to (-1, 0), a negative half alone."""
     c = production_curve
     minus_gen = c.negate(c.gen)
+    _, lam, basis = c._endomorphism
     w, rows = group._GEN_TABLE_WIDTH, len(c._gen_table)
     radix, half = 2 ** w, 2 ** (w - 1)
-    assert len(c._gen_table[0]) == half + 1
-    dense = _largest_without_zero_hex_digit(c.q - 1)
-    assert dense < c.q and "0" not in f"{dense:x}" and len(f"{dense:x}") == 64
-    scalars = {1, 15, 16, 17, c.q - 16, c.q - 1, dense}
-    for i in range(1, 64):
-        scalars |= {16 ** i - 1, 16 ** i, 16 ** i + 1}
-    # Every digit 2^(w-1), no carry; every digit carrying, so the top row
-    # takes a carry; and 2^(w*(rows-1)) - 1, whose -1 digit carries through
-    # every row to a 1 in the last.
+    assert rows == 17 and len(c._gen_table[0]) == half + 1
+    # Every digit 2^(w-1), no carry; and every digit carrying, so the top
+    # row takes a carry.
     all_half = sum(half * radix ** i for i in range(rows - 1))
     all_carry = sum((half + 1) * radix ** i for i in range(rows - 1))
-    run_to_top = radix ** (rows - 1) - 1
     assert set(_signed_digits(all_half, w, rows)[:-1]) == {half}
     assert set(_signed_digits(all_carry, w, rows)[1:-1]) == {2 - half}
     assert _signed_digits(all_carry, w, rows)[-1] == 1
-    assert _signed_digits(run_to_top, w, rows) == [-1] + [0] * (rows - 2) + [1]
-    assert max(all_half, all_carry, run_to_top) < c.q
-    scalars |= {all_half, all_carry, run_to_top}
-    for i in range(rows):
-        scalars |= {half * radix ** i, (half + 1) * radix ** i, radix ** i - 1}
-    scalars = {k for k in scalars if k < c.q}
-    # q - 1 has a non-zero digit in the last row.
-    assert _signed_digits(c.q - 1, w, rows)[-1] != 0
+    edges = {1, half, half + 1, all_half, all_carry}
+    for i in range(1, rows - 1):
+        edges |= {half * radix ** i, (half + 1) * radix ** i, radix ** i - 1}
+    # k2 takes each edge alone.  Babai rounding gives back a k1 near 2^127
+    # only with a k2 of the same sign beside it; 3 * 2^125 keeps every pair
+    # inside that region.
+    partner = 3 * 2 ** 125
+    halves = {(0, h) for h in edges} | {(0, -h) for h in edges}
+    halves |= {(h, partner) for h in edges} | {(-h, -partner) for h in edges}
+    scalars = set()
+    for k1, k2 in halves:
+        k = (k1 + k2 * lam) % c.q
+        assert group._glv_split(k, c.q, basis) == (k1, k2), (hex(k1), hex(k2))
+        scalars.add(k)
+    assert group._glv_split(c.q - 1, c.q, basis) == (-1, 0)
     seeded = random.Random(6301)
-    scalars |= {seeded.randrange(1, c.q) for _ in range(5)}
+    scalars |= {c.q - 1} | {seeded.randrange(1, c.q) for _ in range(5)}
     for k in sorted(scalars):
         assert c.mul(k, c.gen) == c.mul(-k, minus_gen), hex(k)
 
@@ -526,26 +528,25 @@ def test_secp256k1_mul_of_other_points_matches_cryptography_ecdh(production_curv
 
 def test_mul_on_an_a0_curve_matches_repeated_addition():
     """y^2 = x^3 + 3 over F_79 has 97 points and p = 1 (mod 3), so mul splits
-    k with the endomorphism; every point and every k in [-2q, 3q).  On the
-    tiny curves with q = 2, 3 and 13 the generator table is one row of
-    d*gen for 0 <= d <= 32, and some entries are the identity (d*gen for
-    even d, for d = 3, 6, ..., 30 and for d = 13 and 26), and the q = 13
-    one splits k too, with 13*u the identity in its table of odd multiples.
-    y^2 = x^3 + 3 over F_31 has q = 43, and 42 has 6 bits, one row's worth:
-    a second row takes the carry of each k with a digit above 32."""
+    k with the endomorphism; every point and every k in [-2q, 3q).  On it,
+    on the tiny curves with q = 2, 3 and 13 and on the q = 43 curve
+    y^2 = x^3 + 3 over F_31, the generator table is one row of d*gen for
+    0 <= d <= 128, with the identity at every multiple of q, and the q = 13
+    and q = 43 curves split k too, with 13*u the identity in the q = 13
+    curve's table of odd multiples.  The next test crosses into a second
+    row."""
     a0 = validate_params(79, 0, 3, 1, 2, 97)
     q2 = validate_params(5, 2, 0, 0, 0, 2)
     q3 = validate_params(5, 4, 2, 3, 1, 3)
     q13 = validate_params(7, 0, 3, 1, 2, 13)
     q43 = validate_params(31, 0, 3, 1, 2, 43)
     assert a0._endomorphism is not None and q13._endomorphism is not None
+    assert q43._endomorphism is not None
     assert TOY_CURVE._endomorphism is None and q3._endomorphism is None
-    for c in (q2, q3, q13):
+    for c in (a0, q2, q3, q13, q43):
         (row,) = c._gen_table
-        assert len(row) == 33
-        assert [d for d, entry in enumerate(row) if entry is None] == list(range(0, 33, c.q))
-    assert [len(row) for row in a0._gen_table] == [33, 33]
-    assert [len(row) for row in q43._gen_table] == [33, 33]
+        assert len(row) == 129
+        assert [d for d, entry in enumerate(row) if entry is None] == list(range(0, 129, c.q))
     for c in (a0, q2, q3, q13, q43):
         q = c.q
         for u in c.points():
@@ -557,20 +558,78 @@ def test_mul_on_an_a0_curve_matches_repeated_addition():
                 assert c.mul(k, u) == expected, (c, u, k)
 
 
+# Parameters of two curves whose generator tables have two rows at w = 8.
+# y^2 = x^3 + 2x + 1 over F_239 has 257 points, and 256 = q - 1 has 9 bits.
+TWO_ROW_PLAIN = (239, 2, 1, 1, 2, 257)
+# y^2 = x^3 + 5 over F_90397 has 90,379 points and p = 1 (mod 3); its split
+# halves reach 256, 9 bits.
+TWO_ROW_SPLIT = (90397, 0, 5, 7, 37248, 90379)
+
+
+def test_two_row_tables_match_repeated_addition():
+    """Without the endomorphism, every k in [-2q, 3q) on the generator and
+    three other points; k from 129 to 256 carries into the second row.  With
+    it, sampled and split-edge k on the generator and one other point,
+    against mul(k + q, u), which takes the plain loop; among them, halves
+    above 128 in size on both sides carry into the second row."""
+    plain = validate_params(*TWO_ROW_PLAIN)
+    assert plain._endomorphism is None
+    assert [len(row) for row in plain._gen_table] == [129, 129]
+    q = plain.q
+    for u in [plain.gen] + [plain.mul(j, plain.gen) for j in (2, 100, 256)]:
+        multiples = [IDENTITY]
+        for _ in range(3 * q):
+            multiples.append(plain.add(multiples[-1], u))
+        for k in range(-2 * q, 3 * q):
+            expected = multiples[k] if k >= 0 else plain.negate(multiples[-k])
+            assert plain.mul(k, u) == expected, (u, k)
+
+    split = validate_params(*TWO_ROW_SPLIT)
+    _, lam, basis = split._endomorphism
+    assert [len(row) for row in split._gen_table] == [129, 129]
+    seeded = random.Random(6302)
+    scalars = [seeded.randrange(1, split.q) for _ in range(300)] + _split_edge_scalars(split)
+    halves = [group._glv_split(k, split.q, basis) for k in scalars]
+    assert any(k1 > 128 for k1, _ in halves) and any(k1 < -128 for k1, _ in halves)
+    assert any(k2 > 128 for _, k2 in halves) and any(k2 < -128 for _, k2 in halves)
+    for u in (split.gen, split.mul(2, split.gen)):
+        for k in scalars:
+            assert split.mul(k, u) == split.mul(k + split.q, u), (u, k)
+
+
 def _split_edge_scalars(c):
     lam = c._endomorphism[1]
     return [1, 2, lam - 1, lam, lam + 1, c.q - lam, c.q - 1]
 
 
-def test_secp256k1_endomorphism_split_is_short_and_exact(production_curve):
-    c = production_curve
+def _split_reach(c, seeded):
+    """(bits, rows) for curve c: the bit length of the larger Babai bound,
+    |k1| <= (|a1| + |a2|)/2 and |k2| <= (|b1| + |b2|)/2, and the number of
+    generator-table rows.  Checks that the rows cover one digit more than
+    bits, so the last carry lands in a row, and that the halves of 1,000
+    random k and of the split-edge k are exact and below 2^bits."""
     _, lam, basis = c._endomorphism
-    seeded = random.Random(7401)
-    scalars = [seeded.randrange(1, c.q) for _ in range(1000)] + _split_edge_scalars(c)
-    for k in scalars:
+    a1, b1, a2, b2 = basis
+    bits = (max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2).bit_length()
+    rows = len(c._gen_table)
+    assert rows * group._GEN_TABLE_WIDTH >= bits + 1, c
+    for k in [seeded.randrange(1, c.q) for _ in range(1000)] + _split_edge_scalars(c):
         k1, k2 = group._glv_split(k, c.q, basis)
-        assert (k1 + k2 * lam - k) % c.q == 0, k
-        assert abs(k1) < 2 ** 129 and abs(k2) < 2 ** 129, k
+        assert (k1 + k2 * lam - k) % c.q == 0, (c, k)
+        assert abs(k1) < 2 ** bits and abs(k2) < 2 ** bits, (c, k)
+    return bits, rows
+
+
+def test_secp256k1_endomorphism_split_is_short_and_exact(production_curve):
+    assert _split_reach(production_curve, random.Random(7401)) == (128, 17)
+
+
+def test_generator_table_reaches_the_split_halves():
+    """_split_reach on every small curve with the endomorphism."""
+    seeded = random.Random(6303)
+    curves = [TWO_ROW_SPLIT, (79, 0, 3, 1, 2, 97), (7, 0, 3, 1, 2, 13), (31, 0, 3, 1, 2, 43)]
+    reach = [_split_reach(validate_params(*params), seeded) for params in curves]
+    assert reach == [(9, 2), (3, 1), (2, 1), (3, 1)]
 
 
 def test_secp256k1_split_mul_matches_the_plain_loop(production_curve):
@@ -584,17 +643,19 @@ def test_secp256k1_split_mul_matches_the_plain_loop(production_curve):
 
 
 def test_endomorphism_derived_on_first_use_without_inversion(monkeypatch):
-    """On a freshly loaded curve, so no earlier test has derived the constants."""
+    """On a freshly loaded curve, so no earlier test has derived the
+    constants.  A first k*G would derive them too, with the generator table;
+    a first mul of -G, which is not the generator, derives them alone."""
     c = load_curve_file(SECP256K1_FILE)
     assert "_endomorphism" not in c.__dict__
-    P = c.mul(7, c.gen)
+    P = c.negate(c.gen)
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     adds = count_calls(monkeypatch, Curve, "add")
     point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
     muls = count_calls(monkeypatch, Curve, "mul")
     k = c.q - 12345
     first = c.mul(k, P)
-    assert "_endomorphism" in c.__dict__
+    assert "_endomorphism" in c.__dict__ and "_gen_table" not in c.__dict__
     # The derivation reads lam in plain NAF (w = 2), so it needs no table and
     # no inversion; the mul inverts once for its table of odd multiples and
     # once at the end.
@@ -738,9 +799,9 @@ def test_jacobian_double_with_z_not_one(production_curve):
 
 
 def test_secp256k1_exchange_operation_counts(production_curve, monkeypatch):
-    """Width-5 NAF digits in the GLV loop and signed radix-64 digits in the
-    generator table leave 687 mixed additions (1,063 with plain NAF and hex
-    digits), for six more inversions and three more doublings."""
+    """Width-5 NAF digits in the GLV loop and signed radix-256 digits of the
+    split halves in the generator table leave 592 mixed additions (687 with
+    radix-64 digits of k itself, 1,063 with plain NAF and hex digits)."""
     c = production_curve
     # A first exchange builds the generator table and the split's constants.
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
@@ -748,12 +809,12 @@ def test_secp256k1_exchange_operation_counts(production_curve, monkeypatch):
     doubles = count_calls(monkeypatch, group, "_jacobian_double")
     inversions = count_calls(monkeypatch, group, "mod_inverse")
     assert run_honest_exchange(1, Variant.FIXED, curve=c).keys_equal
-    # The nine k*G add one table entry per non-zero signed digit: 382 of
-    # 387.  The six variable-base products add 7 entries each to their
-    # tables of odd multiples, then 263 in the loop, and double once each
-    # for 2u.  Each of the 15 products inverts once at the end and each
+    # The nine k*G add one table entry per non-zero signed digit of their
+    # two halves: 287.  The six variable-base products add 7 entries each
+    # to their tables of odd multiples, then 263 in the loop, and double
+    # once each for 2u.  Each of the 15 products inverts once at the end and each
     # variable-base one once more for its table, and the two verifies add
     # two points each with one inversion.
-    assert len(mixed_adds) == 6 * 7 + 263 + 382
+    assert len(mixed_adds) == 6 * 7 + 263 + 287
     assert len(doubles) == 760
     assert len(inversions) == 15 + 6 + 4

@@ -20,8 +20,11 @@ variants = st.sampled_from(Variant)
 
 
 def server_wire(seed, variant):
-    """The client and the server's first encoded message toward it, not yet recorded."""
-    rng, server, client = _setup(seed, variant, 10, TOY_CURVE)
+    """The client and the server's first encoded message toward it, not yet
+    recorded.  The client's window of 2^64 ticks makes every 64-bit t fresh,
+    so a changed timestamp is judged by the signature and not by the
+    freshness window."""
+    rng, server, client = _setup(seed, variant, 2 ** 64, TOY_CURVE)
     msg, _ = build_message(server.keys, client.id, server.clock.now, variant, rng)
     return client, encode_message(TOY_CURVE, msg)
 
@@ -42,10 +45,6 @@ def assert_tamper_rejected(data, variant, fields):
     index = data.draw(st.integers(min_value=0, max_value=end - start - 1), label="index")
     mask = data.draw(st.integers(min_value=1, max_value=0xFF), label="mask")
     tampered = tamper_field(wire, field, index, mask)
-    # Receive at the tampered message's own instant, so a changed timestamp
-    # is judged by the signature and not by the freshness window.
-    t_start, t_end = _field_spans(tampered)[TamperField.T.value]
-    client.clock.now = int.from_bytes(tampered[t_start:t_end], "big")
     with pytest.raises(ProtocolError):
         client.receive(tampered)
 

@@ -365,6 +365,13 @@ class TestClockAndTranscript:
         with pytest.raises(ValueError):
             clock.advance(-1)
 
+    def test_clock_cannot_be_set(self):
+        """advance is the only way to move the clock, so it never rewinds."""
+        clock = LogicalClock()
+        with pytest.raises(AttributeError):
+            clock.now = 50
+        assert clock.now == 100
+
     def test_transcript_requires_time_order(self):
         transcript = Transcript()
         transcript.record(10, "SERVER", "SEND", b"")
