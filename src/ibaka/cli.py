@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .group import Curve, CurveParameterError, TOY_CURVE, load_curve_file, validate_params
+from .group import Curve, TOY_CURVE, load_curve_file, validate_params
 from .ibs import Variant, extract_key, pkg_setup, sign, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (CurveParameterError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,10 +14,9 @@ Its paths:
   the next path, the scalars are the two halves k1, k2 of k, and the table
   reaches only as far as they do (17 rows on secp256k1): k2's entries are
   summed first, phi(X, Y, Z) = (beta*X, Y, Z) maps that sum once, and k1's
-  entries join it.  A negative half is added between two negations of the
-  sum.  Other curves read k itself.  The first such call builds the table,
-  once per ``Curve``, with one inversion per row (Montgomery's simultaneous
-  inversion).  Each call inverts once, at the end.
+  entries join it.  Other curves read k itself.  The first such call builds
+  the table, once per ``Curve``, with one inversion per row (Montgomery's
+  simultaneous inversion).  Each call inverts once, at the end.
 - On a = 0 curves with p = 1 (mod 3), such as secp256k1, ``mul(k, u)`` with
   ``0 < k < q`` for any other point writes k = k1 + k2*lambda (mod q) with
   k1, k2 half as long as q and sums k1*u + k2*phi(u), where
@@ -284,24 +283,23 @@ def _joint_mul(terms, w, a, p):
 
 def _add_table_multiple(acc, k, rows, a, p):
     """acc + k*gen for a Jacobian acc, with rows a generator table as
-    Curve._gen_table builds it and |k| within its reach.  k is read in signed
-    radix-2^w digits in (-2^(w-1), 2^(w-1)], one per row; a negative k is
-    added between two negations of the sum, (X, Y, Z) -> (X, p - Y, Z)."""
-    if k < 0:
-        x, y, z = _add_table_multiple((acc[0], p - acc[1], acc[2]), -k, rows, a, p)
-        return x, p - y, z
+    Curve._gen_table builds it and |k| within its reach.  |k| is read in
+    signed radix-2^w digits in (-2^(w-1), 2^(w-1)], one per row; a digit d
+    adds its entry when d and k have the same sign, and the entry's free
+    negation (x, p - y) otherwise."""
     w = _GEN_TABLE_WIDTH
     half = 1 << (w - 1)
+    m = abs(k)
     for row in rows:
-        d = k & (2 * half - 1)
-        k >>= w
+        d = m & (2 * half - 1)
+        m >>= w
         if d > half:
             d -= 2 * half
-            k += 1
+            m += 1
         entry = row[abs(d)]
         if entry:
             x, y = entry
-            acc = _jacobian_add_affine(acc, x, y if d > 0 else p - y, a, p)
+            acc = _jacobian_add_affine(acc, x, y if (d > 0) == (k > 0) else p - y, a, p)
     return acc
 
 

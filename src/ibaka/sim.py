@@ -4,10 +4,10 @@ The harness owns a logical clock and a seeded random source, runs honest
 exchanges in any message order, and replays the two man-in-the-middle
 scripts: timestamp-rewriting replay, and replay with a compromised ephemeral
 key.  Every run with the same seed and parameters produces byte-identical
-transcripts and reports.
+transcripts and reports; the run's one clock stamps every transcript event.
 
-The adversary is a separate object that only ever holds wire bytes plus
-secrets explicitly granted to it; it never touches party-internal state.
+The adversary holds public parameters only: wire bytes and a leaked ephemeral
+reach it as arguments, and it never touches party-internal state.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class Party:
     def send(self, peer_id: str, rng) -> tuple[bytes, int]:
         msg, y = build_message(self.keys, peer_id, self.clock.now, self.variant, rng)
         wire = encode_message(self.curve, msg)
-        self.transcript.record(self.clock.now, self.role, "SEND", wire)
+        self.transcript.record(self.role, "SEND", wire)
         return wire, y
 
     def receive(self, wire: bytes) -> VerifiedPeer:
@@ -121,14 +121,14 @@ class Party:
             )
         except ProtocolError as exc:
             action = f"VERIFY_FAIL({type(exc).__name__})"
-            self.transcript.record(self.clock.now, self.role, action, wire)
+            self.transcript.record(self.role, action, wire)
             raise
-        self.transcript.record(self.clock.now, self.role, "VERIFY_OK", wire)
+        self.transcript.record(self.role, "VERIFY_OK", wire)
         return verified
 
     def derive(self, peer: VerifiedPeer, own_secret: int) -> bytes:
         key = _session_key(self.curve, self.role, self.id, peer.peer_id, own_secret, peer.Y)
-        self.transcript.record(self.clock.now, self.role, "DERIVE_KEY", key)
+        self.transcript.record(self.role, "DERIVE_KEY", key)
         return key
 
 
@@ -156,16 +156,16 @@ class TranscriptEvent:
 
 
 class Transcript:
-    """Append-only, time-ordered event log of one scripted run."""
+    """Append-only event log of one scripted run; each event takes the clock's
+    ``now``, and the clock never rewinds, so the log stays in time order."""
 
-    def __init__(self):
+    def __init__(self, clock: LogicalClock):
+        self.clock = clock
         self.events: list[TranscriptEvent] = []
 
-    def record(self, time: int, actor: Role | str, action: str, payload: bytes):
-        if self.events and time < self.events[-1].time:
-            raise ValueError("transcript events must be appended in time order")
+    def record(self, actor: Role | str, action: str, payload: bytes):
         name = actor.value if isinstance(actor, Role) else actor
-        self.events.append(TranscriptEvent(time, name, action, payload))
+        self.events.append(TranscriptEvent(self.clock.now, name, action, payload))
 
     def to_dicts(self) -> list[dict]:
         return [event.to_dict() for event in self.events]
@@ -177,22 +177,14 @@ ADVERSARY = "ADVERSARY"
 class Adversary:
     """Man-in-the-middle with wire access only.
 
-    Knowledge is limited to captured wire bytes, public parameters, and any
-    ephemeral secret explicitly granted by the compromise script; there is no
-    reference to either Party.
+    It holds public parameters only; captured wires and a leaked ephemeral
+    reach it as arguments.  It has no reference to a Party, the transcript or
+    the clock.
     """
 
     def __init__(self, curve: Curve, impersonating: Role = Role.SERVER):
         self.curve = curve
         self.impersonating = impersonating
-        self.captured: list[bytes] = []
-        self.granted_y: int | None = None
-
-    def intercept(self, wire: bytes):
-        self.captured.append(bytes(wire))
-
-    def grant_ephemeral(self, y: int):
-        self.granted_y = y
 
     @staticmethod
     def rewrite_timestamp(wire: bytes, new_ticks: int) -> bytes:
@@ -206,21 +198,14 @@ class Adversary:
             raise MalformedMessage("trailing timestamp field not found")
         return wire[:start] + ticks_to_bytes(new_ticks)
 
-    def compute_session_key(self) -> bytes:
-        """Session key from the granted ephemeral plus two captured wires.
-
-        captured[0] is the message whose ephemeral y was granted,
-        captured[1] the victim's response.
-        """
-        if self.granted_y is None:
-            raise RuntimeError("no ephemeral secret has been granted")
-        if len(self.captured) < 2:
-            raise RuntimeError("need the original message and the victim response")
-        original = decode_message(self.curve, self.captured[0])
-        response = decode_message(self.curve, self.captured[1])
+    def compute_session_key(self, original: bytes, response: bytes, granted_y: int) -> bytes:
+        """Session key from the wire whose ephemeral granted_y leaked and the
+        victim's response to its replay."""
+        original_msg = decode_message(self.curve, original)
+        response_msg = decode_message(self.curve, response)
         return _session_key(
-            self.curve, self.impersonating, original.sender_id, response.sender_id,
-            self.granted_y, response.Y,
+            self.curve, self.impersonating, original_msg.sender_id, response_msg.sender_id,
+            granted_y, response_msg.Y,
         )
 
 
@@ -283,13 +268,13 @@ class AttackReport:
 def _setup(seed, variant, window, curve):
     """PKG setup and key extraction for both identities, in a fixed order.
 
-    The two parties share one clock and one transcript.
+    The two parties share one clock and one transcript that it stamps.
     """
     rng = DeterministicRandom(seed)
     master = pkg_setup(curve, rng)
-    clock, transcript = LogicalClock(), Transcript()
+    transcript = Transcript(LogicalClock())
     server, client = (
-        Party(role, extract_key(master, identity, rng), variant, window, clock,
+        Party(role, extract_key(master, identity, rng), variant, window, transcript.clock,
               master.public, transcript)
         for role, identity in ((Role.SERVER, SERVER_ID), (Role.CLIENT, CLIENT_ID))
     )
@@ -341,8 +326,8 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
 
     Intercept, wait, optionally rewrite t, replay; if the victim accepts, it
     responds and derives a key.  EPHEMERAL_COMPROMISE adds two steps: the
-    adversary is granted the sent ephemeral and later captures the response,
-    and it derives its own key, succeeding only if that equals the victim's.
+    adversary captures the response, and it derives its own key from both
+    wires and the sent ephemeral, succeeding only if that equals the victim's.
     """
     compromise = kind is AttackKind.EPHEMERAL_COMPROMISE
     rng, server, client = _setup(seed, variant, window, curve)
@@ -352,17 +337,14 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     adversary = Adversary(curve, impersonating=impersonate)
 
     wire, y_sent = impersonated.send(victim.id, rng)
-    adversary.intercept(wire)
-    if compromise:
-        adversary.grant_ephemeral(y_sent)
-    transcript.record(clock.now, ADVERSARY, "INTERCEPT", wire)
+    transcript.record(ADVERSARY, "INTERCEPT", wire)
 
     clock.advance(delay)
     replay_wire = wire
     if rewrite:
         replay_wire = adversary.rewrite_timestamp(wire, clock.now)
-        transcript.record(clock.now, ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
-    transcript.record(clock.now, ADVERSARY, "REPLAY", replay_wire)
+        transcript.record(ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
+    transcript.record(ADVERSARY, "REPLAY", replay_wire)
 
     try:
         accepted = victim.receive(replay_wire)
@@ -374,14 +356,13 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     # The victim believes the session is live: it responds and derives a key.
     response_wire, y_victim = victim.send(accepted.peer_id, rng)
     if compromise:
-        adversary.intercept(response_wire)
-        transcript.record(clock.now, ADVERSARY, "INTERCEPT", response_wire)
+        transcript.record(ADVERSARY, "INTERCEPT", response_wire)
     victim_key = victim.derive(accepted, y_victim)
     if not compromise:
         return AttackReport(kind, variant, Outcome.SUCCEEDED, None, None, victim_key, transcript)
 
-    attacker_key = adversary.compute_session_key()
-    transcript.record(clock.now, ADVERSARY, "DERIVE_KEY", attacker_key)
+    attacker_key = adversary.compute_session_key(wire, response_wire, y_sent)
+    transcript.record(ADVERSARY, "DERIVE_KEY", attacker_key)
     matched = attacker_key == victim_key
     outcome = Outcome.SUCCEEDED if matched else Outcome.DEFEATED
     reason = None if matched else "SessionKeyMismatch"
@@ -421,7 +402,7 @@ def run_ephemeral_compromise_attack(
 ) -> AttackReport:
     """Replay with the intercepted message's ephemeral secret in hand.
 
-    The adversary is granted y at interception time (the leak mechanism is
+    The adversary learns the intercepted message's y (the leak mechanism is
     out of scope), replays with a fresh timestamp, and derives the same
     session key as the victim whenever the replay is accepted.  delay may be
     any non-negative value; delay=0 is the strictly easier live-session case.

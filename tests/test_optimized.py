@@ -11,7 +11,7 @@ SCRIPT = """
 import sys
 from ibaka import cli
 from ibaka.ibs import Variant
-from ibaka.sim import AttackKind, AttackReport, Outcome, Transcript
+from ibaka.sim import AttackKind, AttackReport, LogicalClock, Outcome, Transcript
 
 class UnequalKeys:
     keys_equal = False
@@ -21,7 +21,7 @@ print("optimize", sys.flags.optimize)
 print("exit", cli.main(["selftest"]))
 report = AttackReport(
     AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, Outcome.SUCCEEDED, None,
-    None, None, Transcript(),
+    None, None, Transcript(LogicalClock()),
 )
 print("keys_match", report.keys_match)
 """

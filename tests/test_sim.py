@@ -5,6 +5,7 @@ import pytest
 from ibaka.group import TOY_CURVE
 from ibaka.ibs import Variant, extract_key, pkg_setup
 from ibaka.protocol import (
+    DEFAULT_WINDOW,
     BadSignature,
     MalformedMessage,
     StaleTimestamp,
@@ -230,20 +231,21 @@ class TestEphemeralCompromiseAttack:
 
 
 class TestAdversaryObject:
-    def test_state_is_wires_plus_granted_secret_only(self):
-        adversary = Adversary(TOY_CURVE)
-        assert set(vars(adversary)) == {
-            "curve", "impersonating", "captured", "granted_y",
-        }
+    def test_state_is_public_parameters_only(self):
+        assert set(vars(Adversary(TOY_CURVE))) == {"curve", "impersonating"}
 
-    def test_key_computation_requires_the_grant(self):
-        adversary = Adversary(TOY_CURVE)
-        with pytest.raises(RuntimeError):
-            adversary.compute_session_key()
-        adversary.grant_ephemeral(1)
-        adversary.intercept(run_honest_exchange(1, Variant.FLAWED).transcript.events[0].payload)
-        with pytest.raises(RuntimeError, match="victim response"):
-            adversary.compute_session_key()
+    @pytest.mark.parametrize("impersonate", list(Role))
+    def test_session_key_is_a_function_of_its_inputs(self, impersonate):
+        """The victim's key from the original wire, its response and the leaked y."""
+        rng, server, client = _setup(5, Variant.FLAWED, DEFAULT_WINDOW, TOY_CURVE)
+        impersonated, victim = (server, client) if impersonate is Role.SERVER else (client, server)
+        original, y = impersonated.send(victim.id, rng)
+        accepted = victim.receive(original)
+        response, y_victim = victim.send(accepted.peer_id, rng)
+        victim_key = victim.derive(accepted, y_victim)
+        adversary = Adversary(TOY_CURVE, impersonating=impersonate)
+        assert adversary.compute_session_key(original, response, y) == victim_key
+        assert adversary.compute_session_key(original, response, y + 1) != victim_key
 
     def test_rewrite_requires_the_trailing_field_shape(self):
         from ibaka.protocol import MalformedMessage
@@ -289,7 +291,7 @@ class TestAttackReportSerialization:
         def report(attacker_key, victim_key):
             return AttackReport(
                 AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, Outcome.DEFEATED, None,
-                attacker_key, victim_key, Transcript(),
+                attacker_key, victim_key, Transcript(LogicalClock()),
             )
         assert not report(None, None).keys_match
         assert not report(None, b"k").keys_match
@@ -372,8 +374,12 @@ class TestClockAndTranscript:
             clock.now = 50
         assert clock.now == 100
 
-    def test_transcript_requires_time_order(self):
-        transcript = Transcript()
-        transcript.record(10, "SERVER", "SEND", b"")
-        with pytest.raises(ValueError):
-            transcript.record(9, "CLIENT", "SEND", b"")
+    def test_record_stamps_the_clock_time(self):
+        clock = LogicalClock()
+        transcript = Transcript(clock)
+        transcript.record(Role.SERVER, "SEND", b"")
+        clock.advance(5)
+        transcript.record("ADVERSARY", "REPLAY", b"\x01")
+        assert [(e.time, e.actor, e.action) for e in transcript.events] == [
+            (100, "SERVER", "SEND"), (105, "ADVERSARY", "REPLAY"),
+        ]
