@@ -43,7 +43,7 @@ and ``encode_point`` see only such points and results, so they do not check.
 
 from __future__ import annotations
 
-import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,39 +107,70 @@ IDENTITY = Point(None, None)
 # it the Hasse bound proves the count instead.
 EXHAUSTIVE_CHECK_BOUND = 1 << 16
 
-MILLER_RABIN_ROUNDS = 64
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with bases derived by hashing n, so results are stable."""
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
+    """Baillie-PSW: a strong probable-prime test to base 2, then a strong
+    Lucas test (Baillie and Wagstaff, Math. Comp. 35, 1980).  No composite is
+    known to pass both, none below 2^64 does, and there are no fixed bases to
+    build one against (Albrecht et al., "Prime and Prejudice", CCS 2018)."""
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """One Miller-Rabin round for odd n > 2: n - 1 = d * 2^s with d odd."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    x = pow(base, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
             return True
-        if n % sp == 0:
+        x = x * x % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 2 with Selfridge's method A: P = 1 and
+    Q = (1 - D)/4 for the first D in 5, -7, 9, -11, ... with (D/n) = -1."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # the search for D would never end
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    for i in range(MILLER_RABIN_ROUNDS):
-        seed = hashlib.sha256(b"miller-rabin" + i.to_bytes(4, "big") + n_bytes).digest()
-        base = int.from_bytes(seed, "big") % (n - 3) + 2
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    # U_k, V_k and Q^k for k = 1, then along the bits of d = (n + 1) / 2^s.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def mod_inverse(value: int, modulus: int) -> int:
@@ -537,9 +568,9 @@ class Curve:
 def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     """Check a raw parameter set and return the usable Curve.
 
-    One rule for every field size: q is a prime (64-round Miller-Rabin)
-    other than p, whose anomalous curves fall to Smart's attack, the
-    cofactor is 1 and q*gen is the identity.  The cofactor is proved by an
+    One rule for every field size: p > 3 and q pass the Baillie-PSW test
+    of is_probable_prime, q differs from p (curves with q = p fall to
+    Smart's attack), the cofactor is 1 and q*gen is the identity.  The cofactor is proved by an
     exact point count when p < 2^16 and otherwise by the Hasse bound
     #E <= p + 1 + 2*sqrt(p): when 2q exceeds it, q is the whole group.  With
     cofactor 1 every on-curve point lies in <gen>, so decode_point's

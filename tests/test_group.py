@@ -86,17 +86,45 @@ def test_mod_inverse_matches_pow():
         mod_inverse(0, P17)
 
 
+def sieve(limit):
+    """is_prime[n] for n < limit, by the sieve of Eratosthenes."""
+    is_prime = [n > 1 for n in range(limit)]
+    for d in range(2, int(limit ** 0.5) + 1):
+        if is_prime[d]:
+            is_prime[d * d :: d] = [False] * len(range(d * d, limit, d))
+    return is_prime
+
+
 def test_is_probable_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_probable_prime(n) == (n in primes)
-    # Trial division by the primes up to 37 decides every n below 41^2 =
-    # 1,681; the Miller-Rabin witnesses decide the composites above it.
-    for n in range(50, 3000):
-        assert is_probable_prime(n) == all(n % d for d in range(2, int(n ** 0.5) + 1))
+    is_prime = sieve(100_000)
+    for n in range(100_000):
+        assert is_probable_prime(n) == is_prime[n]
     # A Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7.
     assert not is_probable_prime(41 * 61 * 101)
     assert not is_probable_prime(151 * 751 * 28351)
+
+
+def test_each_half_of_the_prime_test_alone():
+    # The odd composites below 20,000 that pass each half of Baillie-PSW
+    # (OEIS A001262 and A217255); every odd prime passes both.
+    is_prime = sieve(20_000)
+    base2_passes = [n for n in range(3, 20_000, 2) if group._strong_probable_prime(n, 2)]
+    lucas_passes = [n for n in range(3, 20_000, 2) if group._strong_lucas_probable_prime(n)]
+    odd_primes = [n for n in range(3, 20_000, 2) if is_prime[n]]
+    assert [n for n in base2_passes if not is_prime[n]] == [2047, 3277, 4033, 4681, 8321, 15841]
+    assert [n for n in lucas_passes if not is_prime[n]] == [5459, 5777, 10877, 16109, 18971]
+    assert [n for n in base2_passes if is_prime[n]] == odd_primes
+    assert [n for n in lucas_passes if is_prime[n]] == odd_primes
+    # So only the Lucas half rejects 8321, and only the base-2 half the rest.
+    for n in (8321, 5459, 5777, 10877, 16109, 18971):
+        assert not is_probable_prime(n)
+    # Strong pseudoprimes to every prime base up to 23, and up to 37.
+    for n in (149491 * 747451 * 34233211, 399165290221 * 798330580441):
+        assert group._strong_probable_prime(n, 2)
+        assert not is_probable_prime(n)
 
 
 def test_point_rejects_half_identity():
@@ -308,6 +336,24 @@ class TestLargeCurvePath:
         # q * gen check can reject it.
         with pytest.raises(WrongOrder, match=r"q \* gen"):
             validate_params(c.p, c.a, c.b, c.gx, c.gy, c.q + 24)
+
+    def test_pseudoprime_modulus_file_rejected(self, production_curve):
+        text = SECP256K1_FILE.read_text().replace(
+            f"p = {production_curve.p}", "p = 3825123056546413051"
+        )
+        with pytest.raises(
+            NonPrimeModulus, match="field modulus 3825123056546413051 is not an odd prime > 3"
+        ):
+            parse_curve_params(text)
+
+    def test_pseudoprime_order_file_rejected(self, production_curve):
+        text = SECP256K1_FILE.read_text().replace(
+            f"q = {production_curve.q}", "q = 318665857834031151167461"
+        )
+        with pytest.raises(
+            WrongOrder, match="group order 318665857834031151167461 is not prime"
+        ):
+            parse_curve_params(text)
 
     def test_scalar_round_trip(self, production_curve):
         c = production_curve

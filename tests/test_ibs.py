@@ -222,7 +222,10 @@ class TestSignVerify:
         identity_r = Signature(sig.h, sig.mu, IDENTITY)
         short_h = Signature(sig.h[:16], sig.mu, sig.R)
         big_mu = Signature(sig.h, TOY_CURVE.q, sig.R)
-        for bad in (identity_r, short_h, big_mu):
+        # mul does not reduce its scalar, so mu + q names the same point as
+        # mu and only the range check on mu rejects it.
+        unreduced_mu = Signature(sig.h, sig.mu + TOY_CURVE.q, sig.R)
+        for bad in (identity_r, short_h, big_mu, unreduced_mu):
             assert not verify_signature(
                 TOY_CURVE, bad, SERVER, CLIENT, Y, 100, master.public, Variant.FLAWED
             )
