@@ -151,9 +151,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False  # the search for D would never end
     D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0 and abs(D) != n:
-            return False
+    while _jacobi(D, n) != -1:
         D = 2 - D if D < 0 else -D - 2
     Q = (1 - D) // 4
     s = ((n + 1) & -(n + 1)).bit_length() - 1
@@ -585,7 +583,7 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     curve = Curve(p, a, b, gx, gy, q)
     if not curve.is_on_curve(curve.gen):
         raise GeneratorNotOnCurve(f"({gx}, {gy}) is not a point of the curve")
-    if q < 2 or not is_probable_prime(q):
+    if not is_probable_prime(q):
         raise WrongOrder(f"group order {q} is not prime")
     if q == p:
         raise WrongOrder(f"group order equals the field modulus {p} (anomalous curve)")

@@ -16,13 +16,15 @@ Wire format (versioned, bit-exact):
     len16 || point(R)          long-term public key
     len16 || t                 8-byte big-endian tick count
 
-with len16 a 2-byte big-endian length.  The timestamp is the final field,
-so the unauthenticated-bytes attack needs only trailing-byte surgery.
+with len16 a 2-byte big-endian length; TamperField names the six fields in
+this order.  The timestamp is the final field, so the unauthenticated-bytes
+attack needs only trailing-byte surgery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple
 
 from .group import Curve, MalformedEncoding, Point, PointNotOnCurve
@@ -72,6 +74,17 @@ class OffCurvePoint(MalformedMessage, PointNotOnCurve):
 
 class InvalidPeerPoint(ProtocolError):
     pass
+
+
+class TamperField(Enum):
+    """The six wire fields, in encoding order."""
+
+    SENDER_ID = 0
+    Y = 1
+    H = 2
+    MU = 3
+    R = 4
+    T = 5
 
 
 @dataclass(frozen=True)
@@ -160,12 +173,6 @@ def derive_session_key(
     )
 
 
-def _length_prefixed(field: bytes) -> bytes:
-    if len(field) > 0xFFFF:
-        raise MalformedMessage("field exceeds 16-bit length prefix")
-    return len(field).to_bytes(2, "big") + field
-
-
 def encode_message(curve: Curve, msg: ProtocolMessage) -> bytes:
     if msg.Y.is_identity or msg.sig.R.is_identity:
         raise MalformedMessage("ephemeral and long-term keys must be non-identity")
@@ -181,18 +188,18 @@ def encode_message(curve: Curve, msg: ProtocolMessage) -> bytes:
         curve.encode_point(msg.sig.R),
         ticks_to_bytes(msg.t),
     )
-    return bytes([WIRE_VERSION]) + b"".join(_length_prefixed(f) for f in fields)
+    return bytes([WIRE_VERSION]) + b"".join(len(f).to_bytes(2, "big") + f for f in fields)
 
 
 def _field_spans(data: bytes) -> list[tuple[int, int]]:
-    """(start, end) of the six fields; the only code that reads the framing."""
+    """(start, end) of each TamperField in order; the only code that reads the framing."""
     if not data:
         raise MalformedMessage("empty message")
     if data[0] != WIRE_VERSION:
         raise MalformedMessage(f"unsupported version byte {data[0]:#04x}")
     spans = []
     pos = 1
-    for _ in range(6):
+    for _ in range(len(TamperField)):
         if pos + 2 > len(data):
             raise MalformedMessage("truncated length prefix")
         length = int.from_bytes(data[pos:pos + 2], "big")

@@ -22,6 +22,7 @@ from .protocol import (
     DEFAULT_WINDOW,
     MalformedMessage,
     ProtocolError,
+    TamperField,
     VerifiedPeer,
     _field_spans,
     build_message,
@@ -87,14 +88,13 @@ class LogicalClock:
 class Party:
     """One protocol endpoint: fixed role, keys, variant, freshness window.
 
-    Each step records its own transcript event at the shared clock's time.
+    Each step reads the time from its transcript's clock and records its own event.
     """
 
     role: Role
     keys: EntityKeyPair
     variant: Variant
     window: int
-    clock: LogicalClock
     master_public: Point
     transcript: Transcript
 
@@ -107,7 +107,7 @@ class Party:
         return self.keys.curve
 
     def send(self, peer_id: str, rng) -> tuple[bytes, int]:
-        msg, y = build_message(self.keys, peer_id, self.clock.now, self.variant, rng)
+        msg, y = build_message(self.keys, peer_id, self.transcript.clock.now, self.variant, rng)
         wire = encode_message(self.curve, msg)
         self.transcript.record(self.role, "SEND", wire)
         return wire, y
@@ -117,7 +117,7 @@ class Party:
         try:
             verified = verify_message(
                 self.curve, decode_message(self.curve, wire), self.id, self.master_public,
-                self.clock.now, self.window, self.variant,
+                self.transcript.clock.now, self.window, self.variant,
             )
         except ProtocolError as exc:
             action = f"VERIFY_FAIL({type(exc).__name__})"
@@ -188,15 +188,16 @@ class Adversary:
 
     @staticmethod
     def rewrite_timestamp(wire: bytes, new_ticks: int) -> bytes:
-        """Overwrite the trailing timestamp field by byte surgery.
+        """Overwrite the timestamp field by byte surgery.
 
         Works on raw bytes without decoding the field contents: the codec's
-        framing locates the final field, which must be the 8-byte timestamp.
+        framing locates field T, which must be as wide as the new tick count.
         """
-        start, end = _field_spans(wire)[-1]
-        if end - start != 8:
+        start, end = _field_spans(wire)[TamperField.T.value]
+        raw_t = ticks_to_bytes(new_ticks)
+        if end - start != len(raw_t):
             raise MalformedMessage("trailing timestamp field not found")
-        return wire[:start] + ticks_to_bytes(new_ticks)
+        return wire[:start] + raw_t + wire[end:]
 
     def compute_session_key(self, original: bytes, response: bytes, granted_y: int) -> bytes:
         """Session key from the wire whose ephemeral granted_y leaked and the
@@ -268,14 +269,14 @@ class AttackReport:
 def _setup(seed, variant, window, curve):
     """PKG setup and key extraction for both identities, in a fixed order.
 
-    The two parties share one clock and one transcript that it stamps.
+    The two parties share one transcript and the one clock that stamps it.
     """
     rng = DeterministicRandom(seed)
     master = pkg_setup(curve, rng)
     transcript = Transcript(LogicalClock())
     server, client = (
-        Party(role, extract_key(master, identity, rng), variant, window, transcript.clock,
-              master.public, transcript)
+        Party(role, extract_key(master, identity, rng), variant, window, master.public,
+              transcript)
         for role, identity in ((Role.SERVER, SERVER_ID), (Role.CLIENT, CLIENT_ID))
     )
     return rng, server, client
@@ -291,7 +292,7 @@ def run_honest_exchange(
 ) -> ExchangeResult:
     """Both messages built, delivered, and verified; both keys derived."""
     rng, server, client = _setup(seed, variant, window, curve)
-    clock = server.clock
+    clock = server.transcript.clock
 
     if message_order is MessageOrder.SERVER_FIRST:
         wire_s, y_s = server.send(client.id, rng)
@@ -331,7 +332,7 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     """
     compromise = kind is AttackKind.EPHEMERAL_COMPROMISE
     rng, server, client = _setup(seed, variant, window, curve)
-    clock, transcript = server.clock, server.transcript
+    clock, transcript = server.transcript.clock, server.transcript
     # The impersonated party sends the intercepted message; the other verifies.
     impersonated, victim = (server, client) if impersonate is Role.SERVER else (client, server)
     adversary = Adversary(curve, impersonating=impersonate)
@@ -410,17 +411,6 @@ def run_ephemeral_compromise_attack(
     return _run_attack(
         AttackKind.EPHEMERAL_COMPROMISE, seed, variant, delay, window, curve, True, impersonate
     )
-
-
-class TamperField(Enum):
-    """Wire fields addressable by tamper_field, in encoding order."""
-
-    SENDER_ID = 0
-    Y = 1
-    H = 2
-    MU = 3
-    R = 4
-    T = 5
 
 
 def tamper_field(wire: bytes, field: TamperField, byte_index: int, xor_mask: int) -> bytes:

@@ -127,6 +127,23 @@ def test_each_half_of_the_prime_test_alone():
         assert not is_probable_prime(n)
 
 
+def test_lucas_half_rejects_squares(monkeypatch):
+    # Squares of the two Wieferich primes pass the base-2 half.  No D has
+    # (D/n) = -1 when n is a square, so only the square test ends the search
+    # for D; the count turns a search that never ends into a failure.
+    jacobi, calls = group._jacobi, []
+
+    def counted(a, n):
+        calls.append(a)
+        assert len(calls) <= 100, "the search for D does not end"
+        return jacobi(a, n)
+
+    monkeypatch.setattr(group, "_jacobi", counted)
+    for n in (1093 ** 2, 3511 ** 2):
+        assert group._strong_probable_prime(n, 2)
+        assert not is_probable_prime(n)
+
+
 def test_point_rejects_half_identity():
     with pytest.raises(ValueError):
         Point(5, None)
@@ -136,6 +153,19 @@ class TestValidateParams:
     def test_toy_parameters_accept(self):
         curve = validate_params(17, 2, 2, 5, 1, 19)
         assert curve == TOY_CURVE
+
+    def test_coefficients_reduced_mod_p(self):
+        assert validate_params(17, 2 - 17, 2 + 34, 5, 1, 19) == TOY_CURVE
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_modulus_at_most_3_rejected(self, p):
+        with pytest.raises(NonPrimeModulus, match=f"field modulus {p} is not an odd prime > 3"):
+            validate_params(p, 2, 2, 5, 1, 19)
+
+    @pytest.mark.parametrize("q", [-19, 0, 1])
+    def test_order_below_2_rejected(self, q):
+        with pytest.raises(WrongOrder, match=f"group order {q} is not prime"):
+            validate_params(17, 2, 2, 5, 1, q)
 
     def test_wrong_order_rejected(self):
         with pytest.raises(WrongOrder):
@@ -373,6 +403,11 @@ def test_cofactor_curve_rejected_by_hasse_bound():
     # and (55709, 29523) has order 113.
     with pytest.raises(WrongOrder, match="cofactor 1"):
         validate_params(65539, 1, 0, 55709, 29523, 113)
+    # y^2 = x^3 + 5x + 5 over F_65537 has 65,542 = 2 * 32,771 points, and
+    # (14799, 21015) has prime order 32,771.  The margin 2q - p - 1 = 4 is
+    # positive, so only the Hasse test itself rejects the cofactor 2.
+    with pytest.raises(WrongOrder, match=r"^order 32771 is too small to prove cofactor 1$"):
+        validate_params(65537, 5, 5, 14799, 21015, 32771)
 
 
 def test_secp256k1_mul_matches_cryptography(production_curve):

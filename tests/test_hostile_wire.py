@@ -22,7 +22,7 @@ from ibaka.sim import Adversary, TamperField, _field_spans, _setup, tamper_field
 def seeded_exchange():
     """The seed-1 client and the server's first wire toward it, not yet recorded."""
     rng, server, client = _setup(1, Variant.FLAWED, 10, TOY_CURVE)
-    msg, _ = build_message(server.keys, client.id, server.clock.now, server.variant, rng)
+    msg, _ = build_message(server.keys, client.id, server.transcript.clock.now, server.variant, rng)
     return client, encode_message(TOY_CURVE, msg)
 
 

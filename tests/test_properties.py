@@ -25,7 +25,7 @@ def server_wire(seed, variant):
     so a changed timestamp is judged by the signature and not by the
     freshness window."""
     rng, server, client = _setup(seed, variant, 2 ** 64, TOY_CURVE)
-    msg, _ = build_message(server.keys, client.id, server.clock.now, variant, rng)
+    msg, _ = build_message(server.keys, client.id, server.transcript.clock.now, variant, rng)
     return client, encode_message(TOY_CURVE, msg)
 
 

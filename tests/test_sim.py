@@ -110,7 +110,7 @@ class TestPartySteps:
     def test_receive_records_the_failure_and_reraises(self, error, delay, hostile):
         rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
         wire, _ = server.send(client.id, rng)
-        client.clock.advance(delay)
+        client.transcript.clock.advance(delay)
         bad = hostile(wire)
         with pytest.raises(error):
             client.receive(bad)
