@@ -44,7 +44,7 @@ and ``encode_point`` see only such points and results, so they do not check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -80,16 +80,15 @@ class MalformedEncoding(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """Affine curve point; both coordinates ``None`` means the identity."""
 
-    x: int | None
-    y: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __new__(cls, x: int | None, y: int | None):
+        if (x is None) != (y is None):
             raise ValueError("point needs both coordinates or neither")
+        return tuple.__new__(cls, (x, y))
 
     @property
     def is_identity(self) -> bool:
@@ -367,21 +366,14 @@ def _glv_split(k, q, basis):
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "p a b gx gy q")):
     """Curve y^2 = x^3 + ax + b over F_p with generator (gx, gy) of prime order q.
 
     Construct through validate_params / load_curve_file so the invariants
     (prime p, non-singular equation, generator on curve with order q,
-    cofactor 1) hold.
+    cofactor 1) hold.  No ``__slots__``: the cached properties keep their
+    values in the instance ``__dict__``.
     """
-
-    p: int
-    a: int
-    b: int
-    gx: int
-    gy: int
-    q: int
 
     @cached_property
     def gen(self) -> Point:

@@ -18,7 +18,7 @@ concatenation ambiguity.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .group import Curve, Point
@@ -44,28 +44,12 @@ class Variant(Enum):
     FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class MasterKeyPair:
-    curve: Curve
-    secret: int
-    public: Point
+MasterKeyPair = namedtuple("MasterKeyPair", "curve secret public")
 
+EntityKeyPair = namedtuple("EntityKeyPair", "curve identity secret R")
+EntityKeyPair.__doc__ = "Long-term key pair (s, R) bound to a text identity by the PKG."
 
-@dataclass(frozen=True)
-class EntityKeyPair:
-    """Long-term key pair (s, R) bound to a text identity by the PKG."""
-
-    curve: Curve
-    identity: str
-    secret: int
-    R: Point
-
-
-@dataclass(frozen=True)
-class Signature:
-    h: bytes
-    mu: int
-    R: Point
+Signature = namedtuple("Signature", "h mu R")
 
 
 def identity_bytes(identity: str) -> bytes:

@@ -23,9 +23,8 @@ attack needs only trailing-byte surgery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .group import Curve, MalformedEncoding, Point, PointNotOnCurve
 from .ibs import (
@@ -87,17 +86,9 @@ class TamperField(Enum):
     T = 5
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
-    sender_id: str
-    Y: Point
-    sig: Signature
-    t: int
+ProtocolMessage = namedtuple("ProtocolMessage", "sender_id Y sig t")
 
-
-class VerifiedPeer(NamedTuple):
-    peer_id: str
-    Y: Point
+VerifiedPeer = namedtuple("VerifiedPeer", "peer_id Y")
 
 
 def build_message(

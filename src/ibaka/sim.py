@@ -13,11 +13,11 @@ reach it as arguments, and it never touches party-internal state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
-from .group import Curve, Point, TOY_CURVE
-from .ibs import EntityKeyPair, Variant, extract_key, pkg_setup, ticks_to_bytes
+from .group import Curve, TOY_CURVE
+from .ibs import Variant, extract_key, pkg_setup, ticks_to_bytes
 from .protocol import (
     DEFAULT_WINDOW,
     MalformedMessage,
@@ -84,19 +84,13 @@ class LogicalClock:
         self._now += ticks
 
 
-@dataclass(frozen=True)
-class Party:
+class Party(namedtuple("Party", "role keys variant window master_public transcript")):
     """One protocol endpoint: fixed role, keys, variant, freshness window.
 
     Each step reads the time from its transcript's clock and records its own event.
     """
 
-    role: Role
-    keys: EntityKeyPair
-    variant: Variant
-    window: int
-    master_public: Point
-    transcript: Transcript
+    __slots__ = ()
 
     @property
     def id(self) -> str:
@@ -139,12 +133,8 @@ def _session_key(curve, role, own_id, peer_id, own_secret, peer_Y) -> bytes:
     return derive_session_key(curve, peer_id, own_id, own_secret, peer_Y)
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
-    time: int
-    actor: str
-    action: str
-    payload: bytes
+class TranscriptEvent(namedtuple("TranscriptEvent", "time actor action payload")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -210,13 +200,10 @@ class Adversary:
         )
 
 
-@dataclass
-class ExchangeResult:
-    variant: Variant
-    message_order: MessageOrder
-    server_key: bytes
-    client_key: bytes
-    transcript: Transcript
+class ExchangeResult(namedtuple(
+    "ExchangeResult", "variant message_order server_key client_key transcript"
+)):
+    __slots__ = ()
 
     @property
     def keys_equal(self) -> bool:
@@ -236,15 +223,10 @@ class ExchangeResult:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-@dataclass
-class AttackReport:
-    attack: AttackKind
-    variant: Variant
-    outcome: Outcome
-    reason: str | None
-    attacker_key: bytes | None
-    victim_key: bytes | None
-    transcript: Transcript = field(repr=False)
+class AttackReport(namedtuple(
+    "AttackReport", "attack variant outcome reason attacker_key victim_key transcript"
+)):
+    __slots__ = ()
 
     @property
     def keys_match(self) -> bool:

@@ -147,6 +147,8 @@ def test_lucas_half_rejects_squares(monkeypatch):
 def test_point_rejects_half_identity():
     with pytest.raises(ValueError):
         Point(5, None)
+    with pytest.raises(ValueError):
+        Point(None, 5)
 
 
 class TestValidateParams:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -107,7 +106,7 @@ class TestBuildAndVerify:
     def test_flawed_accepts_any_fresh_rewritten_timestamp(self):
         master, msg, _ = seeded_message(11, Variant.FLAWED, now=100)
         for new_t in (150, 1000, 2 ** 50):
-            moved = dataclasses.replace(msg, t=new_t)
+            moved = msg._replace(t=new_t)
             verified = verify_message(
                 TOY_CURVE, moved, CLIENT, master.public, new_t, 10, Variant.FLAWED
             )
@@ -116,7 +115,7 @@ class TestBuildAndVerify:
     def test_fixed_rejects_rewritten_timestamp(self):
         master, msg, _ = seeded_message(11, Variant.FIXED, now=100)
         for new_t in (101, 150, 1000):
-            moved = dataclasses.replace(msg, t=new_t)
+            moved = msg._replace(t=new_t)
             with pytest.raises(BadSignature):
                 verify_message(
                     TOY_CURVE, moved, CLIENT, master.public, new_t, 10, Variant.FIXED
@@ -130,7 +129,7 @@ class TestBuildAndVerify:
     def test_freshness_checked_before_signature(self):
         # A stale message with a broken signature reports staleness.
         master, msg, _ = seeded_message(11, Variant.FIXED, now=100)
-        broken = dataclasses.replace(msg, sig=Signature(b"\x00" * 32, 0, msg.sig.R))
+        broken = msg._replace(sig=Signature(b"\x00" * 32, 0, msg.sig.R))
         with pytest.raises(StaleTimestamp):
             verify_message(TOY_CURVE, broken, CLIENT, master.public, 500, 10, Variant.FIXED)
 
@@ -248,8 +247,8 @@ class TestWireCodec:
         with pytest.raises(MalformedMessage):
             decode_message(TOY_CURVE, wire_from(fields))
         with pytest.raises(MalformedMessage):
-            encode_message(TOY_CURVE, dataclasses.replace(
-                msg, sig=dataclasses.replace(msg.sig, mu=TOY_CURVE.q)))
+            encode_message(TOY_CURVE, msg._replace(
+                sig=msg.sig._replace(mu=TOY_CURVE.q)))
 
     def test_wrong_mu_width_rejected(self, production_curve):
         # A leading zero byte would otherwise give one message a second encoding.
@@ -271,8 +270,8 @@ class TestWireCodec:
         with pytest.raises(MalformedMessage):
             decode_message(TOY_CURVE, wire_from(fields))
         with pytest.raises(MalformedMessage):
-            encode_message(TOY_CURVE, dataclasses.replace(
-                msg, sig=dataclasses.replace(msg.sig, h=msg.sig.h[:31])))
+            encode_message(TOY_CURVE, msg._replace(
+                sig=msg.sig._replace(h=msg.sig.h[:31])))
 
     def test_wrong_timestamp_width_rejected(self):
         fields = fields_of(encode_message(TOY_CURVE, seeded_message(1, Variant.FIXED)[1]))
@@ -285,7 +284,7 @@ class TestWireCodec:
 
     def test_encode_rejects_identity_ephemeral(self):
         _, msg, _ = seeded_message(1, Variant.FIXED)
-        bad = dataclasses.replace(msg, Y=IDENTITY)
+        bad = msg._replace(Y=IDENTITY)
         with pytest.raises(MalformedMessage):
             encode_message(TOY_CURVE, bad)
 
