@@ -5,7 +5,8 @@ El Gamal-type identity-based signature.  The package ships both the FLAWED
 variant, whose timestamp is not covered by the signature, and the FIXED
 variant that hashes it, plus a deterministic simulator that demonstrates the
 replay and ephemeral-key-compromise attacks against FLAWED and their defeat
-under FIXED.
+under FIXED.  The names imported below are the public API, and
+`from ibaka import *` also binds the five submodules.
 """
 
 from .group import (
@@ -46,6 +47,7 @@ from .protocol import (
     ProtocolError,
     ProtocolMessage,
     StaleTimestamp,
+    TamperField,
     VerifiedPeer,
     build_message,
     check_freshness,
@@ -66,7 +68,6 @@ from .sim import (
     Outcome,
     Party,
     Role,
-    TamperField,
     Transcript,
     TranscriptEvent,
     run_ephemeral_compromise_attack,
@@ -76,64 +77,3 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Adversary",
-    "AttackKind",
-    "AttackReport",
-    "BadSignature",
-    "Curve",
-    "CurveParameterError",
-    "DEFAULT_WINDOW",
-    "DeterministicRandom",
-    "EntityKeyPair",
-    "ExchangeResult",
-    "FieldOutOfRange",
-    "FutureTimestamp",
-    "GeneratorNotOnCurve",
-    "IDENTITY",
-    "InvalidIdentity",
-    "InvalidPeerPoint",
-    "LogicalClock",
-    "MalformedEncoding",
-    "MalformedMessage",
-    "MalformedParameterFile",
-    "MasterKeyPair",
-    "MessageOrder",
-    "NonPrimeModulus",
-    "OffCurvePoint",
-    "Outcome",
-    "Party",
-    "Point",
-    "PointNotOnCurve",
-    "ProtocolError",
-    "ProtocolMessage",
-    "Role",
-    "Signature",
-    "SingularCurve",
-    "StaleTimestamp",
-    "TamperField",
-    "TOY_CURVE",
-    "Transcript",
-    "TranscriptEvent",
-    "Variant",
-    "VerifiedPeer",
-    "WrongOrder",
-    "build_message",
-    "check_freshness",
-    "decode_message",
-    "derive_session_key",
-    "encode_message",
-    "extract_key",
-    "load_curve_file",
-    "parse_curve_params",
-    "pkg_setup",
-    "run_ephemeral_compromise_attack",
-    "run_honest_exchange",
-    "run_replay_attack",
-    "sign",
-    "tamper_field",
-    "validate_params",
-    "verify_message",
-    "verify_signature",
-]

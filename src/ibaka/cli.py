@@ -67,10 +67,10 @@ _OPTIONS = {
 }
 
 
-def _add_options(parser, *names, **overrides):
-    """Add the named _OPTIONS; a keyword argument per name overrides its fields."""
+def _add_options(parser, *names):
+    """Add the named _OPTIONS."""
     for name in names:
-        parser.add_argument(f"--{name}", **{**_OPTIONS[name], **overrides.get(name, {})})
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,9 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         "keygen", help="PKG setup plus key extraction, written as a key file"
     )
     keygen.set_defaults(handler=_cmd_keygen)
-    _add_options(
-        keygen, "seed", "id", "curve", "output", output={"help": "write the key file here"}
-    )
+    _add_options(keygen, "seed", "id", "curve")
+    keygen.add_argument("--output", default=None, help="write the key file here")
     return parser
 
 
@@ -144,7 +143,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    if args.id.splitlines() != [args.id]:
+    if args.id and args.id.splitlines() != [args.id]:
         # A line break in the identity would forge extra key-file lines.
         raise ValueError(f"identity {args.id!r} must be one line of text")
     curve = _resolve_curve(args.curve)

@@ -596,8 +596,6 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
 # generated by (5, 1).
 TOY_CURVE = validate_params(p=17, a=2, b=2, gx=5, gy=1, q=19)
 
-_CURVE_FILE_KEYS = ("p", "a", "b", "gx", "gy", "q")
-
 
 def parse_curve_params(text: str) -> Curve:
     """Parse `key = value` curve-parameter text and validate it.
@@ -615,17 +613,22 @@ def parse_curve_params(text: str) -> Curve:
         if not sep:
             raise MalformedParameterFile(f"line {lineno}: expected `key = value`")
         key = key.strip()
-        if key not in _CURVE_FILE_KEYS:
+        if key not in Curve._fields:
             raise MalformedParameterFile(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise MalformedParameterFile(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = int(raw.strip())
+            # int() alone would also take '+', '_' and non-ASCII digits, and
+            # raises ValueError past its digit limit.
+            digits = raw.strip().removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            values[key] = int(raw)
         except ValueError:
             raise MalformedParameterFile(
                 f"line {lineno}: value for {key!r} is not a decimal integer"
             ) from None
-    missing = [k for k in _CURVE_FILE_KEYS if k not in values]
+    missing = [k for k in Curve._fields if k not in values]
     if missing:
         raise MalformedParameterFile(f"missing keys: {', '.join(missing)}")
     return validate_params(**values)

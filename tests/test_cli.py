@@ -181,6 +181,7 @@ class TestUsageErrors:
     def test_bad_identity_for_keygen(self, capsys):
         code, _, err = run(capsys, "keygen", "--id", "")
         assert code == 2
+        assert "non-empty" in err
 
     def test_multi_line_identity_for_keygen(self, capsys, tmp_path):
         """A line break in --id would forge a second `s = ` key-file line."""

@@ -323,6 +323,8 @@ q = 19
 class TestCurveFile:
     def test_parse_and_validate(self):
         assert parse_curve_params(TOY_FILE) == TOY_CURVE
+        # A leading '-' is part of a decimal integer; a = -15 is 2 mod 17.
+        assert parse_curve_params(TOY_FILE.replace("a = 2", "a = -15")) == TOY_CURVE
 
     def test_load_from_disk(self, tmp_path):
         path = tmp_path / "toy.txt"
@@ -346,8 +348,12 @@ class TestCurveFile:
             parse_curve_params("p: 17\n")
 
     def test_non_integer_value_rejected(self):
-        with pytest.raises(MalformedParameterFile, match="decimal integer"):
-            parse_curve_params(TOY_FILE.replace("p = 17", "p = seventeen"))
+        """Only an optional '-' and ASCII digits: int() would also take the
+        underscore, the '+', and Arabic-Indic or fullwidth digits."""
+        too_long = "1" * 5000  # past int()'s default limit of 4300 digits
+        for value in ["seventeen", "1_7", "+17", "\u0661\u0667", "\uff11\uff17", "17.0", too_long]:
+            with pytest.raises(MalformedParameterFile, match="decimal integer"):
+                parse_curve_params(TOY_FILE.replace("p = 17", f"p = {value}"))
 
 
 class TestLargeCurvePath:
