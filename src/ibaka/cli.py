@@ -17,6 +17,7 @@ from .protocol import (
     DEFAULT_WINDOW,
     BadSignature,
     MalformedMessage,
+    ProtocolError,
     StaleTimestamp,
     build_message,
     decode_message,
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

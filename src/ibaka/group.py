@@ -617,16 +617,18 @@ def parse_curve_params(text: str) -> Curve:
             raise MalformedParameterFile(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise MalformedParameterFile(f"line {lineno}: duplicate key {key!r}")
-        try:
-            # int() alone would also take '+', '_' and non-ASCII digits, and
-            # raises ValueError past its digit limit.
-            digits = raw.strip().removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            values[key] = int(raw)
-        except ValueError:
+        # int() alone would also take '+', '_' and non-ASCII digits.
+        digits = raw.strip().removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise MalformedParameterFile(
                 f"line {lineno}: value for {key!r} is not a decimal integer"
+            )
+        try:
+            values[key] = int(raw)
+        except ValueError:
+            # All digits, so only int()'s digit limit can refuse it.
+            raise MalformedParameterFile(
+                f"line {lineno}: value for {key!r} is too long ({len(digits)} digits)"
             ) from None
     missing = [k for k in Curve._fields if k not in values]
     if missing:

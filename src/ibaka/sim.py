@@ -12,7 +12,6 @@ reach it as arguments, and it never touches party-internal state.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from enum import Enum
 
@@ -133,16 +132,7 @@ def _session_key(curve, role, own_id, peer_id, own_secret, peer_Y) -> bytes:
     return derive_session_key(curve, peer_id, own_id, own_secret, peer_Y)
 
 
-class TranscriptEvent(namedtuple("TranscriptEvent", "time actor action payload")):
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "actor": self.actor,
-            "action": self.action,
-            "payload_hex": self.payload.hex(),
-        }
+TranscriptEvent = namedtuple("TranscriptEvent", "time actor action payload")
 
 
 class Transcript:
@@ -156,9 +146,6 @@ class Transcript:
     def record(self, actor: Role | str, action: str, payload: bytes):
         name = actor.value if isinstance(actor, Role) else actor
         self.events.append(TranscriptEvent(self.clock.now, name, action, payload))
-
-    def to_dicts(self) -> list[dict]:
-        return [event.to_dict() for event in self.events]
 
 
 ADVERSARY = "ADVERSARY"
@@ -200,6 +187,18 @@ class Adversary:
         )
 
 
+def _report_json(transcript: Transcript, doc: dict) -> str:
+    """The report document `doc` with the transcript's events appended, as
+    indented JSON; `json` is imported here, so that only a report loads it."""
+    import json
+
+    doc["events"] = [
+        {"time": e.time, "actor": e.actor, "action": e.action, "payload_hex": e.payload.hex()}
+        for e in transcript.events
+    ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
 class ExchangeResult(namedtuple(
     "ExchangeResult", "variant message_order server_key client_key transcript"
 )):
@@ -209,18 +208,14 @@ class ExchangeResult(namedtuple(
     def keys_equal(self) -> bool:
         return self.server_key == self.client_key
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return _report_json(self.transcript, {
             "variant": self.variant.name,
             "message_order": self.message_order.name,
             "keys_equal": self.keys_equal,
             "server_key_hex": self.server_key.hex(),
             "client_key_hex": self.client_key.hex(),
-            "events": self.transcript.to_dicts(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        })
 
 
 class AttackReport(namedtuple(
@@ -232,8 +227,8 @@ class AttackReport(namedtuple(
     def keys_match(self) -> bool:
         return self.attacker_key is not None and self.attacker_key == self.victim_key
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return _report_json(self.transcript, {
             "attack": self.attack.name,
             "variant": self.variant.name,
             "outcome": self.outcome.name,
@@ -241,11 +236,7 @@ class AttackReport(namedtuple(
             "keys_match": self.keys_match,
             "attacker_key_hex": None if self.attacker_key is None else self.attacker_key.hex(),
             "victim_key_hex": None if self.victim_key is None else self.victim_key.hex(),
-            "events": self.transcript.to_dicts(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        })
 
 
 def _setup(seed, variant, window, curve):

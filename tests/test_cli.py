@@ -191,3 +191,13 @@ class TestUsageErrors:
             assert (code, out) == (2, ""), repr(identity)
             assert "one line" in err
             assert not path.exists()
+
+    def test_zero_window_demo_is_config_error(self, capsys, tmp_path):
+        """Each delivery takes one tick, so window 0 makes the honest peer
+        reject a stale message: a configuration error, not a traceback."""
+        code, out, err = run(capsys, "demo", "--window", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        path = tmp_path / "report.json"
+        assert run(capsys, "demo", "--window", "0", "--output", str(path))[0] == 2
+        assert not path.exists()

@@ -350,9 +350,14 @@ class TestCurveFile:
     def test_non_integer_value_rejected(self):
         """Only an optional '-' and ASCII digits: int() would also take the
         underscore, the '+', and Arabic-Indic or fullwidth digits."""
-        too_long = "1" * 5000  # past int()'s default limit of 4300 digits
-        for value in ["seventeen", "1_7", "+17", "\u0661\u0667", "\uff11\uff17", "17.0", too_long]:
+        for value in ["seventeen", "1_7", "+17", "\u0661\u0667", "\uff11\uff17", "17.0"]:
             with pytest.raises(MalformedParameterFile, match="decimal integer"):
+                parse_curve_params(TOY_FILE.replace("p = 17", f"p = {value}"))
+
+    def test_over_long_value_names_its_length(self):
+        """A decimal integer past int()'s default limit of 4300 digits."""
+        for value in ["1" * 5000, "-" + "1" * 5000]:
+            with pytest.raises(MalformedParameterFile, match=r"'p' is too long \(5000 digits\)$"):
                 parse_curve_params(TOY_FILE.replace("p = 17", f"p = {value}"))
 
 
@@ -711,6 +716,17 @@ def _split_reach(c, seeded):
 
 def test_secp256k1_endomorphism_split_is_short_and_exact(production_curve):
     assert _split_reach(production_curve, random.Random(7401)) == (128, 17)
+
+
+def test_glv_basis_has_determinant_q_for_any_lambda():
+    """The cube roots of unity the curves pass never need the sign flip that
+    makes the determinant positive; random lambda needs it about half the time."""
+    q = 1_000_003
+    seeded = random.Random(7403)
+    for lam in [seeded.randrange(2, q) for _ in range(300)]:
+        a1, b1, a2, b2 = group._glv_basis(q, lam)
+        assert a1 * b2 - a2 * b1 == q, lam
+        assert (a1 + b1 * lam) % q == 0 and (a2 + b2 * lam) % q == 0, lam
 
 
 def test_generator_table_reaches_the_split_halves():

@@ -1,5 +1,6 @@
 """Records are named tuples: fields cannot be assigned, and importing ibaka
-loads none of the modules that declaring records with dataclasses pulled in."""
+loads none of the modules that declaring records with dataclasses pulled in,
+nor json, which only writing a report needs."""
 
 import pathlib
 import subprocess
@@ -14,7 +15,7 @@ from ibaka.protocol import ProtocolMessage, VerifiedPeer
 from ibaka.rand import DeterministicRandom
 from ibaka import sim
 
-HEAVY_MODULES = ("dataclasses", "typing", "inspect", "ast")
+HEAVY_MODULES = ("dataclasses", "typing", "inspect", "ast", "json")
 
 SCRIPT = """
 import sys
