@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import accumulate
 
-from .group import Curve, TOY_CURVE, load_curve_file, validate_params
+from .group import Curve, IDENTITY, TOY_CURVE, load_curve_file, validate_params
 from .ibs import Variant, extract_key, pkg_setup, sign, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
@@ -34,15 +35,22 @@ from .sim import (
 from . import sim
 
 
+def _decimal(text: str) -> int:
+    # int() alone would also take '+', '_', spaces and non-ASCII digits.
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError("must be a decimal integer")
+    return int(text)
+
+
 def _u64(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("must fit in an unsigned 64-bit integer")
     return value
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -172,9 +180,15 @@ def _selftest_checks():
     """Small deterministic versions of the library invariants."""
     curve = TOY_CURVE
 
+    def walk(c):
+        # identity, gen, 2*gen, ... by the add oracle; with cofactor 1 the
+        # first q of them are every point of c.
+        return list(accumulate([c.gen] * (c.q - 1), c.add, initial=IDENTITY))
+
     def group_laws():
-        points = curve.points()
-        _check(len(points) == curve.q)
+        points = walk(curve)
+        _check(len(set(points)) == curve.q)
+        _check(curve.add(points[-1], curve.gen).is_identity)
         for u in points:
             for v in points:
                 _check(curve.add(u, v) == curve.add(v, u))
@@ -189,7 +203,7 @@ def _selftest_checks():
         split for other points; and the double-and-add loop for
         q <= k < 2q."""
         for c in (curve, validate_params(79, 0, 3, 1, 2, 97)):
-            for u in c.points():
+            for u in walk(c):
                 running = c.mul(0, u)
                 _check(running.is_identity)
                 for k in range(1, 2 * c.q):
@@ -197,7 +211,7 @@ def _selftest_checks():
                     _check(c.mul(k, u) == running)
 
     def point_codec():
-        for u in curve.points():
+        for u in walk(curve):
             _check(curve.decode_point(curve.encode_point(u)) == u)
 
     def signature_round_trip():

@@ -102,10 +102,6 @@ class Point(namedtuple("Point", "x y")):
 
 IDENTITY = Point(None, None)
 
-# Below this field size the cofactor-1 check counts every point; at or above
-# it the Hasse bound proves the count instead.
-EXHAUSTIVE_CHECK_BOUND = 1 << 16
-
 
 def is_probable_prime(n: int) -> bool:
     """Baillie-PSW: a strong probable-prime test to base 2, then a strong
@@ -540,31 +536,18 @@ class Curve(namedtuple("Curve", "p a b gx gy q")):
             raise PointNotOnCurve(f"decoded point {point!r} is off the curve")
         return point
 
-    def points(self) -> list[Point]:
-        """Every curve point including the identity; desk-scale curves only."""
-        if self.p >= EXHAUSTIVE_CHECK_BOUND:
-            raise ValueError("point enumeration is only supported for small curves")
-        roots: dict[int, list[int]] = {}
-        for y in range(self.p):
-            roots.setdefault(y * y % self.p, []).append(y)
-        found = [IDENTITY]
-        for x in range(self.p):
-            rhs = (x ** 3 + self.a * x + self.b) % self.p
-            for y in roots.get(rhs, ()):
-                found.append(Point(x, y))
-        return found
-
 
 def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     """Check a raw parameter set and return the usable Curve.
 
     One rule for every field size: p > 3 and q pass the Baillie-PSW test
     of is_probable_prime, q differs from p (curves with q = p fall to
-    Smart's attack), the cofactor is 1 and q*gen is the identity.  The cofactor is proved by an
-    exact point count when p < 2^16 and otherwise by the Hasse bound
-    #E <= p + 1 + 2*sqrt(p): when 2q exceeds it, q is the whole group.  With
-    cofactor 1 every on-curve point lies in <gen>, so decode_point's
-    on-curve check is a complete point validation.
+    Smart's attack), the cofactor is 1 and q*gen is the identity.  The
+    Hasse bound #E <= p + 1 + 2*sqrt(p) proves the cofactor for every p:
+    when 2q exceeds it, q is the whole group.  It cannot prove the nine
+    cofactor-1 shapes with p <= 19 whose q is too small, so those raise
+    WrongOrder; TOY_CURVE passes.  With cofactor 1 every on-curve point lies
+    in <gen>, so decode_point's on-curve check is a complete point validation.
     """
     if p <= 3 or not is_probable_prime(p):
         raise NonPrimeModulus(f"field modulus {p} is not an odd prime > 3")
@@ -579,14 +562,9 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
         raise WrongOrder(f"group order {q} is not prime")
     if q == p:
         raise WrongOrder(f"group order equals the field modulus {p} (anomalous curve)")
-    if p < EXHAUSTIVE_CHECK_BOUND:
-        total = len(curve.points())
-        if total != q:
-            raise WrongOrder(f"curve has {total} points, not the prime order {q}")
-    else:
-        margin = 2 * q - p - 1
-        if margin <= 0 or margin * margin <= 4 * p:
-            raise WrongOrder(f"order {q} is too small to prove cofactor 1")
+    margin = 2 * q - p - 1
+    if margin <= 0 or margin * margin <= 4 * p:
+        raise WrongOrder(f"order {q} is too small to prove cofactor 1")
     if not curve.mul(q, curve.gen).is_identity:
         raise WrongOrder("q * gen is not the identity")
     return curve

@@ -158,6 +158,20 @@ class TestUsageErrors:
         assert run(capsys, "demo", "--window", "-1")[0] == 2
         assert run(capsys, "attack", "replay", "--delay", "-1")[0] == 2
 
+    def test_integer_options_take_only_decimal_digits(self, capsys):
+        """int() alone would take hex, '_', '+', spaces and non-ASCII digits,
+        and argparse would name the private type function in its error."""
+        cases = [
+            ("demo", "--seed", "0x10"), ("demo", "--window", "abc"),
+            ("demo", "--seed", "1_0"), ("demo", "--seed", " +10"),
+            ("demo", "--seed", "\u0661\u0660"), ("attack", "replay", "--delay", "1_000"),
+        ]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"argument {argv[-2]}: must be a decimal integer" in err, argv
+            assert "invalid" not in err and "_u64" not in err and "_non_negative" not in err
+
     def test_missing_curve_file(self, capsys):
         code, _, err = run(capsys, "demo", "--curve", "/does/not/exist")
         assert code == 2

@@ -38,36 +38,52 @@ P17, A17, B17 = 17, 2, 2
 SECP256K1_FILE = pathlib.Path(__file__).parent / "data" / "secp256k1.txt"
 
 
-def oracle_points():
-    """All solutions of y^2 = x^3 + 2x + 2 mod 17, identity as None."""
+def oracle_points(p=P17, a=A17, b=B17):
+    """All solutions of y^2 = x^3 + ax + b mod p (TOY's by default), identity
+    as None."""
     pts = [None]
-    for x in range(P17):
-        for y in range(P17):
-            if (y * y - (x ** 3 + A17 * x + B17)) % P17 == 0:
+    for x in range(p):
+        for y in range(p):
+            if (y * y - (x ** 3 + a * x + b)) % p == 0:
                 pts.append((x, y))
     return pts
 
 
-def oracle_add(u, v):
+def oracle_add(u, v, p=P17, a=A17):
     if u is None:
         return v
     if v is None:
         return u
     x1, y1 = u
     x2, y2 = v
-    if x1 == x2 and (y1 + y2) % P17 == 0:
+    if x1 == x2 and (y1 + y2) % p == 0:
         return None
     if u == v:
-        lam = (3 * x1 * x1 + A17) * pow(2 * y1, -1, P17) % P17
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, P17) % P17
-    x3 = (lam * lam - x1 - x2) % P17
-    y3 = (lam * (x1 - x3) - y1) % P17
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
+
+
+def oracle_mul(k, u, p, a):
+    """k*u for k >= 0 by double-and-add with oracle_add."""
+    total = None
+    for bit in bin(k)[2:]:
+        total = oracle_add(total, total, p, a)
+        if bit == "1":
+            total = oracle_add(total, u, p, a)
+    return total
 
 
 def as_point(t):
     return IDENTITY if t is None else Point(*t)
+
+
+def curve_points(c):
+    """oracle_points of the curve c as Points, the identity first."""
+    return [as_point(t) for t in oracle_points(c.p, c.a, c.b)]
 
 
 ORACLE = oracle_points()
@@ -76,7 +92,8 @@ TOY_POINTS = [as_point(t) for t in ORACLE]
 
 def test_toy_curve_has_19_points():
     assert len(ORACLE) == 19
-    assert sorted(TOY_POINTS, key=repr) == sorted(TOY_CURVE.points(), key=repr)
+    multiples = [TOY_CURVE.mul(k, TOY_CURVE.gen) for k in range(19)]
+    assert sorted(TOY_POINTS, key=repr) == sorted(multiples, key=repr)
 
 
 def test_mod_inverse_matches_pow():
@@ -362,13 +379,11 @@ class TestCurveFile:
 
 
 class TestLargeCurvePath:
-    """Field modulus above the exhaustive bound: spot checks only."""
+    """A 256-bit field modulus: spot checks only."""
 
     def test_production_scale_curve_accepts(self, production_curve):
         assert production_curve.p.bit_length() == 256
         assert production_curve.mul(production_curve.q, production_curve.gen) == IDENTITY
-        with pytest.raises(ValueError, match="small curves"):
-            production_curve.points()
 
     def test_wrong_large_order_rejected(self, production_curve):
         c = production_curve
@@ -405,13 +420,10 @@ class TestLargeCurvePath:
         assert c.decode_point(c.encode_point(point)) == point
 
 
-def test_cofactor_curve_rejected_by_point_count():
-    # y^2 = x^3 + 1 over F_23 has 24 points; (0, 1) has order 3, cofactor 8.
-    with pytest.raises(WrongOrder, match="24 points"):
-        validate_params(23, 0, 1, 0, 1, 3)
-
-
 def test_cofactor_curve_rejected_by_hasse_bound():
+    # y^2 = x^3 + 1 over F_23 has 24 points; (0, 1) has order 3, cofactor 8.
+    with pytest.raises(WrongOrder, match="cofactor 1"):
+        validate_params(23, 0, 1, 0, 1, 3)
     # y^2 = x^3 + x with p = 3 mod 4 has p + 1 = 65,540 = 580 * 113 points,
     # and (55709, 29523) has order 113.
     with pytest.raises(WrongOrder, match="cofactor 1"):
@@ -421,6 +433,75 @@ def test_cofactor_curve_rejected_by_hasse_bound():
     # positive, so only the Hasse test itself rejects the cofactor 2.
     with pytest.raises(WrongOrder, match=r"^order 32771 is too small to prove cofactor 1$"):
         validate_params(65537, 5, 5, 14799, 21015, 32771)
+
+
+def test_hasse_rule_matches_a_point_count():
+    """Every prime 23 <= p <= 47, every non-singular (a, b) and every prime
+    q != p dividing #E: validate_params accepts exactly when the test's own
+    count #E equals q.  The generator is k*u, with k = #E without its
+    factors q and u the first point that k*u leaves non-zero, multiplied by q
+    until the next product would be the identity, so it has order q."""
+    is_prime = sieve(64)
+    cases = accepted = 0
+    for p in [23, 29, 31, 37, 41, 43, 47]:
+        roots = {}
+        for y in range(p):
+            roots.setdefault(y * y % p, []).append(y)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                    continue
+                affine = [(x, y) for x in range(p) for y in roots.get((x ** 3 + a * x + b) % p, ())]
+                total = 1 + len(affine)
+                for q in [q for q in range(2, total + 1) if total % q == 0 and is_prime[q]]:
+                    if q == p:
+                        continue
+                    k = total
+                    while k % q == 0:
+                        k //= q
+                    gen = next(g for g in (oracle_mul(k, u, p, a) for u in affine) if g)
+                    while oracle_mul(q, gen, p, a) is not None:
+                        gen = oracle_mul(q, gen, p, a)
+                    cases += 1
+                    try:
+                        validate_params(p, a, b, *gen, q)
+                    except WrongOrder:
+                        assert total != q, (p, a, b, q)
+                    else:
+                        assert total == q, (p, a, b, q)
+                        accepted += 1
+    assert (cases, accepted) == (17017, 887)
+
+
+# One cofactor-1 curve (p, a, b, gx, gy, q) for each (p, q) whose margin
+# 2q - p - 1 is too small for the Hasse rule.
+SMALL_COFACTOR_ONE = [
+    (5, 2, 0, 0, 0, 2), (5, 4, 2, 3, 1, 3), (7, 0, 4, 0, 2, 3),
+    (7, 1, 1, 0, 1, 5), (11, 2, 7, 6, 2, 7), (13, 0, 6, 2, 1, 7),
+    (17, 2, 6, 1, 3, 11), (17, 6, 8, 0, 5, 13), (19, 0, 2, 4, 3, 13),
+]
+
+
+def test_cofactor_one_curves_too_small_for_the_hasse_rule_rejected():
+    for params in SMALL_COFACTOR_ONE:
+        q = params[-1]
+        assert len(curve_points(Curve(*params))) == q, params
+        with pytest.raises(WrongOrder, match=f"^order {q} is too small to prove cofactor 1$"):
+            validate_params(*params)
+
+
+def test_sixteen_bit_curve_loads_and_multiplies():
+    """y^2 = x^3 + 17 over F_65521, below 2^16: the Hasse rule accepts it,
+    p = 1 (mod 3) gives the endomorphism, and mul matches the oracle's
+    double-and-add on the generator (the table) and on another point (the
+    split)."""
+    c = validate_params(65521, 0, 17, 1, 1086, 65353)
+    assert c._endomorphism is not None
+    seeded = random.Random(6552)
+    other = as_point(oracle_mul(seeded.randrange(2, c.q), c.gen, c.p, c.a))
+    for u in (c.gen, other):
+        for k in [1, 2, c.q - 1] + [seeded.randrange(1, c.q) for _ in range(30)]:
+            assert c.mul(k, u) == as_point(oracle_mul(k, u, c.p, c.a)), (u, k)
 
 
 def test_secp256k1_mul_matches_cryptography(production_curve):
@@ -630,8 +711,9 @@ def test_mul_on_an_a0_curve_matches_repeated_addition():
     curve's table of odd multiples.  The next test crosses into a second
     row."""
     a0 = validate_params(79, 0, 3, 1, 2, 97)
-    q2 = validate_params(5, 2, 0, 0, 0, 2)
-    q3 = validate_params(5, 4, 2, 3, 1, 3)
+    # Too small for validate_params' Hasse rule, so built directly.
+    q2 = Curve(5, 2, 0, 0, 0, 2)
+    q3 = Curve(5, 4, 2, 3, 1, 3)
     q13 = validate_params(7, 0, 3, 1, 2, 13)
     q43 = validate_params(31, 0, 3, 1, 2, 43)
     assert a0._endomorphism is not None and q13._endomorphism is not None
@@ -643,7 +725,7 @@ def test_mul_on_an_a0_curve_matches_repeated_addition():
         assert [d for d, entry in enumerate(row) if entry is None] == list(range(0, 129, c.q))
     for c in (a0, q2, q3, q13, q43):
         q = c.q
-        for u in c.points():
+        for u in curve_points(c):
             multiples = [IDENTITY]
             for _ in range(3 * q):
                 multiples.append(c.add(multiples[-1], u))
@@ -862,7 +944,7 @@ def test_odd_multiples_match_the_plain_loop(production_curve):
     cases = [(c, c.mul(seeded.randrange(2, c.q), c.gen)) for _ in range(3)]
     a0 = validate_params(79, 0, 3, 1, 2, 97)
     q13 = validate_params(7, 0, 3, 1, 2, 13)
-    cases += [(curve, u) for curve in (a0, q13, TOY_CURVE) for u in curve.points() if u.x is not None]
+    cases += [(curve, u) for curve in (a0, q13, TOY_CURVE) for u in curve_points(curve)[1:]]
     for curve, u in cases:
         for w in (3, 4, group._GLV_WIDTH, 6):
             table = group._odd_multiples(u.x, u.y, w, curve.a, curve.p)
