@@ -37,9 +37,13 @@ from . import sim
 
 def _decimal(text: str) -> int:
     # int() alone would also take '+', '_', spaces and non-ASCII digits.
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError("must be a decimal integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # all digits, so only int()'s digit limit refuses it
+        raise argparse.ArgumentTypeError(f"value is too long ({len(digits)} digits)") from None
 
 
 def _u64(text: str) -> int:
@@ -59,7 +63,8 @@ def _non_negative(text: str) -> int:
 # Every attack script, by its command-line kind.
 _ATTACKS = {"replay": run_replay_attack, "ephemeral": run_ephemeral_compromise_attack}
 
-# Every option, declared once; subcommands pick theirs by name in help order.
+# The shared options, declared once; subcommands pick theirs by name in help
+# order.  keygen declares its own --output, whose help names a key file.
 _OPTIONS = {
     "variant": dict(choices=[v.value for v in Variant], default=Variant.FLAWED.value,
                     help="protocol variant (default: flawed)"),

@@ -263,36 +263,32 @@ def run_honest_exchange(
     window: int = DEFAULT_WINDOW,
     curve: Curve = TOY_CURVE,
 ) -> ExchangeResult:
-    """Both messages built, delivered, and verified; both keys derived."""
+    """Both messages built, delivered, and verified; both keys derived, server first.
+
+    SERVER_FIRST: the server sends; a tick later the client verifies and
+    replies; a tick later the server verifies.  CLIENT_FIRST swaps the roles.
+    PARALLEL: both send, one tick passes, the server verifies, then the client."""
+    if not isinstance(message_order, MessageOrder):
+        raise ValueError(f"unknown message order {message_order!r}")
     rng, server, client = _setup(seed, variant, window, curve)
     clock = server.transcript.clock
+    parallel = message_order is MessageOrder.PARALLEL
+    client_first = message_order is MessageOrder.CLIENT_FIRST
+    first, second = (client, server) if client_first else (server, client)
 
-    if message_order is MessageOrder.SERVER_FIRST:
-        wire_s, y_s = server.send(client.id, rng)
+    seen, y = {}, {}  # each party's verified peer and its own secret, by role
+    first_wire, y[first.role] = first.send(second.id, rng)
+    if not parallel:
         clock.advance(1)
-        seen_server = client.receive(wire_s)
-        wire_c, y_c = client.send(server.id, rng)
-        clock.advance(1)
-        seen_client = server.receive(wire_c)
-    elif message_order is MessageOrder.CLIENT_FIRST:
-        wire_c, y_c = client.send(server.id, rng)
-        clock.advance(1)
-        seen_client = server.receive(wire_c)
-        wire_s, y_s = server.send(client.id, rng)
-        clock.advance(1)
-        seen_server = client.receive(wire_s)
-    elif message_order is MessageOrder.PARALLEL:
-        wire_s, y_s = server.send(client.id, rng)
-        wire_c, y_c = client.send(server.id, rng)
-        clock.advance(1)
-        seen_client = server.receive(wire_c)
-        seen_server = client.receive(wire_s)
-    else:
-        raise ValueError(f"unknown message order {message_order!r}")
+        seen[second.role] = second.receive(first_wire)
+    second_wire, y[second.role] = second.send(first.id, rng)
+    clock.advance(1)
+    seen[first.role] = first.receive(second_wire)
+    if parallel:
+        seen[second.role] = second.receive(first_wire)
 
-    server_key = server.derive(seen_client, y_s)
-    client_key = client.derive(seen_server, y_c)
-    return ExchangeResult(variant, message_order, server_key, client_key, server.transcript)
+    keys = [party.derive(seen[party.role], y[party.role]) for party in (server, client)]
+    return ExchangeResult(variant, message_order, *keys, server.transcript)
 
 
 def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate):

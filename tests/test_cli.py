@@ -171,6 +171,15 @@ class TestUsageErrors:
             assert (code, out) == (2, ""), argv
             assert f"argument {argv[-2]}: must be a decimal integer" in err, argv
             assert "invalid" not in err and "_u64" not in err and "_non_negative" not in err
+        # All digits but past int()'s 4,300-digit limit: argparse would report
+        # int()'s ValueError with the private type function's name.
+        too_long = "1" * 5000
+        for argv in [("demo", "--seed", too_long), ("demo", "--window", too_long),
+                     ("attack", "replay", "--delay", too_long)]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[:-1]
+            assert f"argument {argv[-2]}: value is too long (5000 digits)" in err, argv[:-1]
+            assert "invalid" not in err and "_u64" not in err and "_non_negative" not in err
 
     def test_missing_curve_file(self, capsys):
         code, _, err = run(capsys, "demo", "--curve", "/does/not/exist")

@@ -59,17 +59,42 @@ class TestHonestExchange:
         b = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
         assert a.to_json() == b.to_json()
 
-    def test_server_first_event_sequence(self):
-        result = run_honest_exchange(1, Variant.FLAWED, MessageOrder.SERVER_FIRST)
-        steps = [(e.actor, e.action) for e in result.transcript.events]
-        assert steps == [
-            ("SERVER", "SEND"),
-            ("CLIENT", "VERIFY_OK"),
-            ("CLIENT", "SEND"),
-            ("SERVER", "VERIFY_OK"),
-            ("SERVER", "DERIVE_KEY"),
-            ("CLIENT", "DERIVE_KEY"),
-        ]
+    SCHEDULES = {
+        MessageOrder.SERVER_FIRST: [
+            (100, "SERVER", "SEND"),
+            (101, "CLIENT", "VERIFY_OK"),
+            (101, "CLIENT", "SEND"),
+            (102, "SERVER", "VERIFY_OK"),
+            (102, "SERVER", "DERIVE_KEY"),
+            (102, "CLIENT", "DERIVE_KEY"),
+        ],
+        MessageOrder.CLIENT_FIRST: [
+            (100, "CLIENT", "SEND"),
+            (101, "SERVER", "VERIFY_OK"),
+            (101, "SERVER", "SEND"),
+            (102, "CLIENT", "VERIFY_OK"),
+            (102, "SERVER", "DERIVE_KEY"),
+            (102, "CLIENT", "DERIVE_KEY"),
+        ],
+        MessageOrder.PARALLEL: [
+            (100, "SERVER", "SEND"),
+            (100, "CLIENT", "SEND"),
+            (101, "SERVER", "VERIFY_OK"),
+            (101, "CLIENT", "VERIFY_OK"),
+            (101, "SERVER", "DERIVE_KEY"),
+            (101, "CLIENT", "DERIVE_KEY"),
+        ],
+    }
+
+    @pytest.mark.parametrize("curve_name", ["toy", "secp256k1"])
+    @pytest.mark.parametrize("order", list(MessageOrder), ids=lambda order: order.name)
+    def test_event_sequence(self, order, curve_name, request):
+        """Each order's exact schedule: who acts at which tick; the server derives first."""
+        curve = TOY_CURVE if curve_name == "toy" else request.getfixturevalue("production_curve")
+        result = run_honest_exchange(1, Variant.FLAWED, order, curve=curve)
+        steps = [(e.time, e.actor, e.action) for e in result.transcript.events]
+        assert steps == self.SCHEDULES[order]
+        assert result.keys_equal
 
     def test_parallel_messages_share_a_tick(self):
         result = run_honest_exchange(1, Variant.FLAWED, MessageOrder.PARALLEL)
