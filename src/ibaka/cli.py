@@ -13,7 +13,7 @@ import sys
 from itertools import accumulate
 
 from .group import Curve, IDENTITY, TOY_CURVE, load_curve_file, validate_params
-from .ibs import Variant, extract_key, pkg_setup, sign, verify_signature
+from .ibs import Variant, extract_key, pkg_setup, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
     BadSignature,
@@ -156,14 +156,18 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _extracted(seed: int, identity: str, curve: Curve):
+    """(rng, master, keys): the seeded source, then PKG setup, then `identity`'s key."""
+    rng = DeterministicRandom(seed)
+    master = pkg_setup(curve, rng)
+    return rng, master, extract_key(master, identity, rng)
+
+
 def _cmd_keygen(args) -> int:
     if args.id and args.id.splitlines() != [args.id]:
         # A line break in the identity would forge extra key-file lines.
         raise ValueError(f"identity {args.id!r} must be one line of text")
-    curve = _resolve_curve(args.curve)
-    rng = DeterministicRandom(args.seed)
-    master = pkg_setup(curve, rng)
-    keys = extract_key(master, args.id, rng)
+    _, _, keys = _extracted(args.seed, args.id, _resolve_curve(args.curve))
     lines = [
         "# extracted identity key; demo storage only, the private key is in the clear",
         f"id = {keys.identity}",
@@ -182,7 +186,8 @@ def _check(condition: bool):
 
 
 def _selftest_checks():
-    """Small deterministic versions of the library invariants."""
+    """Small deterministic versions of the library invariants, in run order;
+    each prints under its function's name with `_` written as `-`."""
     curve = TOY_CURVE
 
     def walk(c):
@@ -222,14 +227,10 @@ def _selftest_checks():
     def signature_round_trip():
         for variant in Variant:
             for seed in range(1, 51):
-                rng = DeterministicRandom(seed)
-                master = pkg_setup(curve, rng)
-                keys = extract_key(master, sim.SERVER_ID, rng)
-                y = rng.scalar(curve.q)
-                Y = curve.mul(y, curve.gen)
-                sig, _ = sign(keys, sim.CLIENT_ID, Y, 100, variant, rng)
+                rng, master, keys = _extracted(seed, sim.SERVER_ID, curve)
+                msg, _ = build_message(keys, sim.CLIENT_ID, 100, variant, rng)
                 _check(verify_signature(
-                    curve, sig, keys.identity, sim.CLIENT_ID, Y, 100,
+                    curve, msg.sig, keys.identity, sim.CLIENT_ID, msg.Y, 100,
                     master.public, variant,
                 ))
 
@@ -258,9 +259,7 @@ def _selftest_checks():
 
     def message_codec():
         for seed in range(1, 26):
-            rng = DeterministicRandom(seed)
-            master = pkg_setup(curve, rng)
-            keys = extract_key(master, sim.SERVER_ID, rng)
+            rng, _, keys = _extracted(seed, sim.SERVER_ID, curve)
             msg, _ = build_message(keys, sim.CLIENT_ID, 100, Variant.FIXED, rng)
             wire = encode_message(curve, msg)
             _check(decode_message(curve, wire) == msg)
@@ -271,22 +270,15 @@ def _selftest_checks():
             else:
                 raise AssertionError("truncated message accepted")
 
-    return [
-        ("group-laws", group_laws),
-        ("scalar-mul-oracle", scalar_mul_oracle),
-        ("point-codec", point_codec),
-        ("signature-round-trip", signature_round_trip),
-        ("honest-exchanges", honest_exchanges),
-        ("replay-matrix", replay_matrix),
-        ("ephemeral-matrix", ephemeral_matrix),
-        ("message-codec", message_codec),
-    ]
+    return [group_laws, scalar_mul_oracle, point_codec, signature_round_trip,
+            honest_exchanges, replay_matrix, ephemeral_matrix, message_codec]
 
 
 def _cmd_selftest(args) -> int:
     lines = []
     failures = 0
-    for name, check in _selftest_checks():
+    for check in _selftest_checks():
+        name = check.__name__.replace("_", "-")
         try:
             check()
         except AssertionError:

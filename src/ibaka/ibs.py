@@ -104,6 +104,8 @@ def _h2_digest(curve, sender, recipient, Y, R, X, ticks, variant):
     ]
     if variant is Variant.FIXED:
         fields.append(ticks_to_bytes(ticks))
+    elif variant is not Variant.FLAWED:
+        raise ValueError(f"unknown variant {variant!r}")
     return hash_fields(DOMAIN_H2, *fields)
 
 
@@ -164,7 +166,8 @@ def verify_signature(
     """Recover X' = mu*gen - h*(R + c*master_public) and compare digests.
 
     Comparison is over the full 256-bit digest, so tampering is caught even
-    though scalars live in a tiny group.
+    though scalars live in a tiny group.  A `variant` that is not a Variant
+    raises ValueError when the digest is recomputed, instead of returning a bool.
     """
     if sig.R.is_identity or len(sig.h) != DIGEST_SIZE:
         return False

@@ -299,6 +299,8 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
     adversary captures the response, and it derives its own key from both
     wires and the sent ephemeral, succeeding only if that equals the victim's.
     """
+    if not isinstance(impersonate, Role):
+        raise ValueError(f"unknown role {impersonate!r}")
     compromise = kind is AttackKind.EPHEMERAL_COMPROMISE
     rng, server, client = _setup(seed, variant, window, curve)
     clock, transcript = server.transcript.clock, server.transcript

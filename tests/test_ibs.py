@@ -229,3 +229,17 @@ class TestSignVerify:
             assert not verify_signature(
                 TOY_CURVE, bad, SERVER, CLIENT, Y, 100, master.public, Variant.FLAWED
             )
+
+    def test_sign_rejects_unknown_variant(self):
+        # A string is not a Variant; it must not sign as FLAWED.
+        _, keys, rng = make_signer(1)
+        with pytest.raises(ValueError, match="unknown variant"):
+            sign(keys, CLIENT, TOY_CURVE.gen, 100, "FIXED", rng)
+
+    def test_verify_rejects_unknown_variant(self):
+        master, keys, Y, sig, _ = seeded_signature(1, Variant.FIXED)
+        assert verify_signature(
+            TOY_CURVE, sig, SERVER, CLIENT, Y, 100, master.public, Variant.FIXED
+        )
+        with pytest.raises(ValueError, match="unknown variant"):
+            verify_signature(TOY_CURVE, sig, SERVER, CLIENT, Y, 100, master.public, "FIXED")

@@ -54,6 +54,10 @@ class TestHonestExchange:
         with pytest.raises(ValueError, match="unknown message order"):
             run_honest_exchange(1, Variant.FLAWED, "SERVER_FIRST")
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_honest_exchange(1, "FIXED")
+
     def test_transcript_deterministic(self):
         a = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
         b = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
@@ -211,6 +215,16 @@ class TestReplayAttack:
         first_send = flawed.transcript.events[0]
         assert first_send.actor == "CLIENT"
 
+    def test_unknown_role_rejected(self):
+        # A string role must not silently run the client-impersonation script.
+        with pytest.raises(ValueError, match="unknown role"):
+            run_replay_attack(1, Variant.FLAWED, impersonate="SERVER")
+
+    def test_unknown_variant_rejected(self):
+        # A string variant must not run as FLAWED.
+        with pytest.raises(ValueError, match="unknown variant"):
+            run_replay_attack(1, "fixed")
+
 
 class TestEphemeralCompromiseAttack:
     def test_flawed_attacker_learns_the_session_key(self):
@@ -241,6 +255,10 @@ class TestEphemeralCompromiseAttack:
     def test_mirrored_direction(self):
         report = run_ephemeral_compromise_attack(7, Variant.FLAWED, impersonate=Role.CLIENT)
         assert report.keys_match
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ValueError, match="unknown role"):
+            run_ephemeral_compromise_attack(1, Variant.FIXED, impersonate="CLIENT")
 
     def test_adversary_sees_only_wire_traffic(self):
         # Every byte the adversary captured appeared on the wire as a SEND.
