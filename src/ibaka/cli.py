@@ -13,7 +13,7 @@ import sys
 from itertools import accumulate
 
 from .group import Curve, IDENTITY, TOY_CURVE, load_curve_file, validate_params
-from .ibs import Variant, extract_key, pkg_setup, verify_signature
+from .ibs import Variant, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
     BadSignature,
@@ -24,7 +24,6 @@ from .protocol import (
     decode_message,
     encode_message,
 )
-from .rand import DeterministicRandom
 from .sim import (
     MessageOrder,
     Outcome,
@@ -35,28 +34,19 @@ from .sim import (
 from . import sim
 
 
-def _decimal(text: str) -> int:
+def _u64(text: str) -> int:
+    """A seed or a tick count: ASCII decimal digits, after an optional '-',
+    that fit in an unsigned 64-bit integer, as ticks do on the wire."""
     # int() alone would also take '+', '_', spaces and non-ASCII digits.
     digits = text.removeprefix("-")
     if not (text.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError("must be a decimal integer")
     try:
-        return int(text)
+        value = int(text)
     except ValueError:  # all digits, so only int()'s digit limit refuses it
         raise argparse.ArgumentTypeError(f"value is too long ({len(digits)} digits)") from None
-
-
-def _u64(text: str) -> int:
-    value = _decimal(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _non_negative(text: str) -> int:
-    value = _decimal(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
     return value
 
 
@@ -69,9 +59,9 @@ _OPTIONS = {
     "variant": dict(choices=[v.value for v in Variant], default=Variant.FLAWED.value,
                     help="protocol variant (default: flawed)"),
     "seed": dict(type=_u64, default=1, help="run seed (default: 1)"),
-    "window": dict(type=_non_negative, default=DEFAULT_WINDOW,
+    "window": dict(type=_u64, default=DEFAULT_WINDOW,
                    help="freshness window in ticks (default: %(default)s)"),
-    "delay": dict(type=_non_negative, default=sim.DEFAULT_DELAY,
+    "delay": dict(type=_u64, default=sim.DEFAULT_DELAY,
                   help="ticks between interception and replay (default: %(default)s)"),
     "id": dict(default=sim.SERVER_ID, help="identity to extract"),
     "curve": dict(default="TOY", help="TOY or path to a curve-parameter file (default: TOY)"),
@@ -156,18 +146,11 @@ def _cmd_attack(args) -> int:
     return 0
 
 
-def _extracted(seed: int, identity: str, curve: Curve):
-    """(rng, master, keys): the seeded source, then PKG setup, then `identity`'s key."""
-    rng = DeterministicRandom(seed)
-    master = pkg_setup(curve, rng)
-    return rng, master, extract_key(master, identity, rng)
-
-
 def _cmd_keygen(args) -> int:
     if args.id and args.id.splitlines() != [args.id]:
         # A line break in the identity would forge extra key-file lines.
         raise ValueError(f"identity {args.id!r} must be one line of text")
-    _, _, keys = _extracted(args.seed, args.id, _resolve_curve(args.curve))
+    _, _, [keys] = sim._extracted(args.seed, _resolve_curve(args.curve), args.id)
     lines = [
         "# extracted identity key; demo storage only, the private key is in the clear",
         f"id = {keys.identity}",
@@ -227,7 +210,7 @@ def _selftest_checks():
     def signature_round_trip():
         for variant in Variant:
             for seed in range(1, 51):
-                rng, master, keys = _extracted(seed, sim.SERVER_ID, curve)
+                rng, master, [keys] = sim._extracted(seed, curve, sim.SERVER_ID)
                 msg, _ = build_message(keys, sim.CLIENT_ID, 100, variant, rng)
                 _check(verify_signature(
                     curve, msg.sig, keys.identity, sim.CLIENT_ID, msg.Y, 100,
@@ -259,7 +242,7 @@ def _selftest_checks():
 
     def message_codec():
         for seed in range(1, 26):
-            rng, _, keys = _extracted(seed, sim.SERVER_ID, curve)
+            rng, _, [keys] = sim._extracted(seed, curve, sim.SERVER_ID)
             msg, _ = build_message(keys, sim.CLIENT_ID, 100, Variant.FIXED, rng)
             wire = encode_message(curve, msg)
             _check(decode_message(curve, wire) == msg)

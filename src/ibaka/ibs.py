@@ -56,7 +56,10 @@ def identity_bytes(identity: str) -> bytes:
     """UTF-8 bytes of an identity label; non-empty and at most 255 bytes."""
     if not isinstance(identity, str):
         raise InvalidIdentity("identity must be text")
-    raw = identity.encode("utf-8")
+    try:
+        raw = identity.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as from undecodable argv bytes
+        raise InvalidIdentity("identity must be valid UTF-8 text") from None
     if not raw:
         raise InvalidIdentity("identity must be non-empty")
     if len(raw) > MAX_IDENTITY_BYTES:

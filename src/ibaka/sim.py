@@ -239,18 +239,21 @@ class AttackReport(namedtuple(
         })
 
 
-def _setup(seed, variant, window, curve):
-    """PKG setup and key extraction for both identities, in a fixed order.
-
-    The two parties share one transcript and the one clock that stamps it.
-    """
+def _extracted(seed, curve, *identities):
+    """(rng, master, keys): the seeded source, PKG setup, then each identity's key, in order."""
     rng = DeterministicRandom(seed)
     master = pkg_setup(curve, rng)
+    return rng, master, [extract_key(master, identity, rng) for identity in identities]
+
+
+def _setup(seed, variant, window, curve):
+    """The `_extracted` set-up, server key first, as two parties that share one
+    transcript and the one clock that stamps it."""
+    rng, master, keys = _extracted(seed, curve, SERVER_ID, CLIENT_ID)
     transcript = Transcript(LogicalClock())
     server, client = (
-        Party(role, extract_key(master, identity, rng), variant, window, master.public,
-              transcript)
-        for role, identity in ((Role.SERVER, SERVER_ID), (Role.CLIENT, CLIENT_ID))
+        Party(role, role_keys, variant, window, master.public, transcript)
+        for role, role_keys in zip((Role.SERVER, Role.CLIENT), keys)
     )
     return rng, server, client
 
@@ -318,26 +321,22 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
         transcript.record(ADVERSARY, "REWRITE_TIMESTAMP", replay_wire)
     transcript.record(ADVERSARY, "REPLAY", replay_wire)
 
+    attacker_key = victim_key = reason = None
     try:
         accepted = victim.receive(replay_wire)
     except ProtocolError as exc:
-        return AttackReport(
-            kind, variant, Outcome.DEFEATED, type(exc).__name__, None, None, transcript
-        )
-
-    # The victim believes the session is live: it responds and derives a key.
-    response_wire, y_victim = victim.send(accepted.peer_id, rng)
-    if compromise:
-        transcript.record(ADVERSARY, "INTERCEPT", response_wire)
-    victim_key = victim.derive(accepted, y_victim)
-    if not compromise:
-        return AttackReport(kind, variant, Outcome.SUCCEEDED, None, None, victim_key, transcript)
-
-    attacker_key = adversary.compute_session_key(wire, response_wire, y_sent)
-    transcript.record(ADVERSARY, "DERIVE_KEY", attacker_key)
-    matched = attacker_key == victim_key
-    outcome = Outcome.SUCCEEDED if matched else Outcome.DEFEATED
-    reason = None if matched else "SessionKeyMismatch"
+        reason = type(exc).__name__
+    else:
+        # The victim believes the session is live: it responds and derives a key.
+        response_wire, y_victim = victim.send(accepted.peer_id, rng)
+        if compromise:
+            transcript.record(ADVERSARY, "INTERCEPT", response_wire)
+        victim_key = victim.derive(accepted, y_victim)
+        if compromise:
+            attacker_key = adversary.compute_session_key(wire, response_wire, y_sent)
+            transcript.record(ADVERSARY, "DERIVE_KEY", attacker_key)
+            reason = None if attacker_key == victim_key else "SessionKeyMismatch"
+    outcome = Outcome.DEFEATED if reason else Outcome.SUCCEEDED
     return AttackReport(kind, variant, outcome, reason, attacker_key, victim_key, transcript)
 
 

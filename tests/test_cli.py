@@ -5,8 +5,10 @@ import pytest
 
 from ibaka.cli import main
 from ibaka.group import TOY_CURVE, load_curve_file
-from ibaka.ibs import extract_key, pkg_setup
+from ibaka.ibs import Variant, extract_key, pkg_setup
+from ibaka.protocol import DEFAULT_WINDOW
 from ibaka.rand import DeterministicRandom
+from ibaka import sim
 
 SECP256K1_FILE = str(pathlib.Path(__file__).parent / "data" / "secp256k1.txt")
 TOY_FILE = "p = 17\na = 2\nb = 2\ngx = 5\ngy = 1\nq = 19\n"
@@ -152,6 +154,19 @@ class TestKeygen:
             "id": "sensor-7", "s": str(keys.secret), "rx": str(keys.R.x), "ry": str(keys.R.y),
         }
 
+    @pytest.mark.parametrize("curve_arg", ["TOY", SECP256K1_FILE], ids=["TOY", "secp256k1"])
+    def test_keys_are_the_simulators_server_keys(self, capsys, curve_arg):
+        # keygen and the simulator share one seeded set-up, server key first.
+        code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "server-1",
+                           "--curve", curve_arg)
+        assert code == 0
+        curve = TOY_CURVE if curve_arg == "TOY" else load_curve_file(curve_arg)
+        keys = sim._setup(5, Variant.FIXED, DEFAULT_WINDOW, curve)[1].keys
+        fields = dict(l.split(" = ") for l in out.splitlines() if not l.startswith("#"))
+        assert fields == {
+            "id": "server-1", "s": str(keys.secret), "rx": str(keys.R.x), "ry": str(keys.R.y),
+        }
+
     def test_deterministic(self, capsys):
         _, a, _ = run(capsys, "keygen", "--seed", "5")
         _, b, _ = run(capsys, "keygen", "--seed", "5")
@@ -171,13 +186,14 @@ class TestUsageErrors:
     def test_bad_variant(self, capsys):
         assert run(capsys, "demo", "--variant", "patched")[0] == 2
 
-    def test_seed_out_of_range(self, capsys):
-        assert run(capsys, "demo", "--seed", "-1")[0] == 2
-        assert run(capsys, "demo", "--seed", str(1 << 64))[0] == 2
-
-    def test_negative_ticks(self, capsys):
-        assert run(capsys, "demo", "--window", "-1")[0] == 2
-        assert run(capsys, "attack", "replay", "--delay", "-1")[0] == 2
+    def test_integer_options_fit_in_u64(self, capsys):
+        """A seed or a tick count is an unsigned 64-bit integer, as ticks are on the wire."""
+        for command in [("demo", "--seed"), ("demo", "--window"), ("attack", "replay", "--delay")]:
+            for value in ["-1", str(1 << 64)]:
+                code, out, err = run(capsys, *command, value)
+                assert (code, out) == (2, ""), (command, value)
+                assert f"argument {command[-1]}: must fit in an unsigned 64-bit integer" in err
+        assert run(capsys, "demo", "--window", str((1 << 64) - 1))[0] == 0
 
     def test_integer_options_take_only_decimal_digits(self, capsys):
         """int() alone would take hex, '_', '+', spaces and non-ASCII digits,
@@ -226,6 +242,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, "keygen", "--id", "")
         assert code == 2
         assert "non-empty" in err
+
+    def test_identity_that_is_not_utf8_for_keygen(self, capsys, tmp_path):
+        """An argv byte that is not UTF-8 arrives as a lone surrogate, which
+        no identity can encode; it is an invalid identity, not a codec error."""
+        path = tmp_path / "key.txt"
+        code, out, err = run(capsys, "keygen", "--id", "\udcff", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert "identity must be valid UTF-8 text" in err and "codec" not in err
+        assert not path.exists()
 
     def test_multi_line_identity_for_keygen(self, capsys, tmp_path):
         """A line break in --id would forge a second `s = ` key-file line."""

@@ -70,6 +70,16 @@ class TestIdentity:
         with pytest.raises(InvalidIdentity):
             identity_bytes("é" * 200)
 
+    def test_text_that_utf8_cannot_encode_rejected(self):
+        # A lone surrogate, as os.fsdecode makes of an argv byte that is not UTF-8.
+        with pytest.raises(InvalidIdentity, match="^identity must be valid UTF-8 text$"):
+            identity_bytes("\udcff")
+        master, keys, rng = make_signer(1)
+        with pytest.raises(InvalidIdentity, match="valid UTF-8"):
+            extract_key(master, "\udcff", rng)
+        with pytest.raises(InvalidIdentity, match="valid UTF-8"):
+            sign(keys, "\udcff", TOY_CURVE.gen, 100, Variant.FIXED, rng)
+
 
 class TestPkgSetup:
     def test_forced_unit_scalar_gives_generator(self):
