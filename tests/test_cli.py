@@ -186,13 +186,23 @@ class TestUsageErrors:
     def test_bad_variant(self, capsys):
         assert run(capsys, "demo", "--variant", "patched")[0] == 2
 
+    def assert_not_u64(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"argument {argv[-2]}: must fit in an unsigned 64-bit integer" in err, argv
+
+    def test_seed_out_of_range(self, capsys):
+        self.assert_not_u64(capsys, "demo", "--seed", "-1")
+        self.assert_not_u64(capsys, "demo", "--seed", str(1 << 64))
+
+    def test_negative_ticks(self, capsys):
+        self.assert_not_u64(capsys, "demo", "--window", "-1")
+        self.assert_not_u64(capsys, "attack", "replay", "--delay", "-1")
+
     def test_integer_options_fit_in_u64(self, capsys):
-        """A seed or a tick count is an unsigned 64-bit integer, as ticks are on the wire."""
-        for command in [("demo", "--seed"), ("demo", "--window"), ("attack", "replay", "--delay")]:
-            for value in ["-1", str(1 << 64)]:
-                code, out, err = run(capsys, *command, value)
-                assert (code, out) == (2, ""), (command, value)
-                assert f"argument {command[-1]}: must fit in an unsigned 64-bit integer" in err
+        """A tick count is an unsigned 64-bit integer, as ticks are on the wire."""
+        self.assert_not_u64(capsys, "demo", "--window", str(1 << 64))
+        self.assert_not_u64(capsys, "attack", "replay", "--delay", str(1 << 64))
         assert run(capsys, "demo", "--window", str((1 << 64) - 1))[0] == 0
 
     def test_integer_options_take_only_decimal_digits(self, capsys):
