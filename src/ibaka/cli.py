@@ -12,7 +12,7 @@ import argparse
 import sys
 from itertools import accumulate
 
-from .group import Curve, IDENTITY, TOY_CURVE, load_curve_file, validate_params
+from .group import Curve, IDENTITY, TOY_CURVE, _decimal, load_curve_file, validate_params
 from .ibs import Variant, verify_signature
 from .protocol import (
     DEFAULT_WINDOW,
@@ -35,16 +35,12 @@ from . import sim
 
 
 def _u64(text: str) -> int:
-    """A seed or a tick count: ASCII decimal digits, after an optional '-',
-    that fit in an unsigned 64-bit integer, as ticks do on the wire."""
-    # int() alone would also take '+', '_', spaces and non-ASCII digits.
-    digits = text.removeprefix("-")
-    if not (text.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError("must be a decimal integer")
+    """A seed or a tick count: a decimal integer by the curve files' rule (_decimal)
+    that fits in an unsigned 64-bit integer, as ticks do on the wire."""
     try:
-        value = int(text)
-    except ValueError:  # all digits, so only int()'s digit limit refuses it
-        raise argparse.ArgumentTypeError(f"value is too long ({len(digits)} digits)") from None
+        value = _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"value {exc}") from None
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("must fit in an unsigned 64-bit integer")
     return value

@@ -532,8 +532,7 @@ class Curve(namedtuple("Curve", "p a b gx gy q")):
         if x >= self.p or y >= self.p:
             raise MalformedEncoding("coordinate exceeds the field modulus")
         point = Point(x, y)
-        if not self.is_on_curve(point):
-            raise PointNotOnCurve(f"decoded point {point!r} is off the curve")
+        self._require_on_curve(point)
         return point
 
 
@@ -575,6 +574,18 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
 TOY_CURVE = validate_params(p=17, a=2, b=2, gx=5, gy=1, q=19)
 
 
+def _decimal(text: str) -> int:
+    """The integer rule of curve files and CLI options: an optional '-', ASCII digits."""
+    # int() alone would also take '+', '_', spaces and non-ASCII digits.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("is not a decimal integer")
+    try:
+        return int(text)
+    except ValueError:  # all digits, so only int()'s digit limit refuses it
+        raise ValueError(f"is too long ({len(digits)} digits)") from None
+
+
 def parse_curve_params(text: str) -> Curve:
     """Parse `key = value` curve-parameter text and validate it.
 
@@ -595,19 +606,10 @@ def parse_curve_params(text: str) -> Curve:
             raise MalformedParameterFile(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise MalformedParameterFile(f"line {lineno}: duplicate key {key!r}")
-        # int() alone would also take '+', '_' and non-ASCII digits.
-        digits = raw.strip().removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise MalformedParameterFile(
-                f"line {lineno}: value for {key!r} is not a decimal integer"
-            )
         try:
-            values[key] = int(raw)
-        except ValueError:
-            # All digits, so only int()'s digit limit can refuse it.
-            raise MalformedParameterFile(
-                f"line {lineno}: value for {key!r} is too long ({len(digits)} digits)"
-            ) from None
+            values[key] = _decimal(raw.strip())
+        except ValueError as exc:
+            raise MalformedParameterFile(f"line {lineno}: value for {key!r} {exc}") from None
     missing = [k for k in Curve._fields if k not in values]
     if missing:
         raise MalformedParameterFile(f"missing keys: {', '.join(missing)}")
@@ -615,5 +617,6 @@ def parse_curve_params(text: str) -> Curve:
 
 
 def load_curve_file(path) -> Curve:
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 becomes a lone surrogate, which no rule accepts.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_curve_params(fh.read())

@@ -125,7 +125,6 @@ def extract_key(master: MasterKeyPair, identity: str, rng) -> EntityKeyPair:
     c = H1(ID || R).  The defining identity s*gen == R + c*master_public
     is what verifiers rely on.
     """
-    identity_bytes(identity)
     curve = master.curve
     r = rng.scalar(curve.q)
     R = curve.mul(r, curve.gen)

@@ -224,10 +224,7 @@ def decode_message(curve: Curve, data: bytes) -> ProtocolMessage:
     points with OffCurvePoint, which is also a PointNotOnCurve.
     """
     raw_id, raw_y, raw_h, raw_mu, raw_r, raw_t = (data[a:b] for a, b in _field_spans(data))
-    try:
-        sender_id = raw_id.decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedMessage("sender id is not valid UTF-8") from None
+    sender_id = raw_id.decode("utf-8", "surrogateescape")  # identity_bytes rejects the escapes
     try:
         identity_bytes(sender_id)
     except InvalidIdentity as exc:

@@ -216,7 +216,7 @@ class TestUsageErrors:
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, ""), argv
-            assert f"argument {argv[-2]}: must be a decimal integer" in err, argv
+            assert f"argument {argv[-2]}: value is not a decimal integer" in err, argv
             assert "invalid" not in err and "_u64" not in err and "_non_negative" not in err
         # All digits but past int()'s 4,300-digit limit: argparse would report
         # int()'s ValueError with the private type function's name.
@@ -239,6 +239,14 @@ class TestUsageErrors:
         code, _, err = run(capsys, "demo", "--curve", str(path))
         assert code == 2
         assert "prime" in err
+
+    def test_curve_file_byte_that_is_not_utf8(self, capsys, tmp_path):
+        """A 0xff in q's value is a malformed value on its line, not a codec error."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"p = 17\na = 2\nb = 2\ngx = 5\ngy = 1\nq = 1\xff9\n")
+        code, out, err = run(capsys, "demo", "--curve", str(path))
+        assert (code, out) == (2, "")
+        assert "line 6: value for 'q' is not a decimal integer" in err and "codec" not in err
 
     def test_cofactor_curve_file(self, capsys, tmp_path):
         # 24 points on y^2 = x^3 + 1 over F_23; (0, 1) generates only 3 of them.

@@ -336,6 +336,9 @@ gy = 1
 q = 19
 """
 
+# TOY_FILE without its comment, as raw bytes: q is on line 6.
+TOY_FILE_BYTES = TOY_FILE.split("\n", 1)[1].encode()
+
 
 class TestCurveFile:
     def test_parse_and_validate(self):
@@ -376,6 +379,22 @@ class TestCurveFile:
         for value in ["1" * 5000, "-" + "1" * 5000]:
             with pytest.raises(MalformedParameterFile, match=r"'p' is too long \(5000 digits\)$"):
                 parse_curve_params(TOY_FILE.replace("p = 17", f"p = {value}"))
+
+    def test_byte_that_is_not_utf8_in_a_value_names_its_line(self, tmp_path):
+        """A file byte that is not UTF-8 fails the field's own rule, not the codec."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(TOY_FILE_BYTES.replace(b"q = 19", b"q = 1\xff9"))
+        message = "^line 6: value for 'q' is not a decimal integer$"
+        with pytest.raises(MalformedParameterFile, match=message):
+            load_curve_file(path)
+        path.write_bytes(TOY_FILE_BYTES.replace(b"q = 19", b"q\xff = 19"))
+        with pytest.raises(MalformedParameterFile, match="^line 6: unknown key"):
+            load_curve_file(path)
+
+    def test_byte_that_is_not_utf8_in_a_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "toy.txt"
+        path.write_bytes(b"# \xff\n" + TOY_FILE_BYTES)
+        assert load_curve_file(path) == TOY_CURVE
 
 
 class TestLargeCurvePath:

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from ibaka.group import IDENTITY, TOY_CURVE
+from ibaka.group import IDENTITY, TOY_CURVE, Curve
 from ibaka.ibs import (
     DOMAIN_H1,
     InvalidIdentity,
@@ -239,6 +239,26 @@ class TestSignVerify:
             assert not verify_signature(
                 TOY_CURVE, bad, SERVER, CLIENT, Y, 100, master.public, Variant.FLAWED
             )
+
+    def test_early_rejects_make_no_mul(self, monkeypatch):
+        """An identity R, or an h that is not 32 bytes, returns False before
+        any scalar multiplication; a valid signature shows the count works."""
+        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
+        calls = []
+        mul = Curve.mul
+        monkeypatch.setattr(Curve, "mul", lambda *args: calls.append(args) or mul(*args))
+        identity_r = Signature(sig.h, sig.mu, IDENTITY)
+        short_h = Signature(sig.h[:31], sig.mu, sig.R)
+        long_h = Signature(sig.h + b"\x00", sig.mu, sig.R)
+        for bad in (identity_r, short_h, long_h):
+            assert not verify_signature(
+                TOY_CURVE, bad, SERVER, CLIENT, Y, 100, master.public, Variant.FLAWED
+            )
+        assert calls == []
+        assert verify_signature(
+            TOY_CURVE, sig, SERVER, CLIENT, Y, 100, master.public, Variant.FLAWED
+        )
+        assert calls
 
     def test_sign_rejects_unknown_variant(self):
         # A string is not a Variant; it must not sign as FLAWED.

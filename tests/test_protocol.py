@@ -214,11 +214,14 @@ class TestWireCodec:
             decode_message(TOY_CURVE, b"\x02" + wire[1:])
 
     def test_bad_utf8_sender_rejected(self):
+        """Invalid bytes, a lone continuation byte and an encoded surrogate
+        all fail identity_bytes's UTF-8 rule."""
         _, msg, _ = seeded_message(1, Variant.FIXED)
         fields = fields_of(encode_message(TOY_CURVE, msg))
-        fields[0] = b"\xff\xfe"
-        with pytest.raises(MalformedMessage):
-            decode_message(TOY_CURVE, wire_from(fields))
+        for raw_id in [b"\xff\xfe", b"\x80", b"\xed\xa0\x80"]:
+            fields[0] = raw_id
+            with pytest.raises(MalformedMessage, match="identity must be valid UTF-8 text"):
+                decode_message(TOY_CURVE, wire_from(fields))
 
     def test_empty_sender_rejected(self):
         fields = fields_of(encode_message(TOY_CURVE, seeded_message(1, Variant.FIXED)[1]))
