@@ -376,7 +376,8 @@ def run_ephemeral_compromise_attack(
     The adversary learns the intercepted message's y (the leak mechanism is
     out of scope), replays with a fresh timestamp, and derives the same
     session key as the victim whenever the replay is accepted.  delay may be
-    any non-negative value; delay=0 is the strictly easier live-session case.
+    any non-negative value; at delay 0 the rewrite leaves the wire unchanged,
+    so FIXED accepts it too.
     """
     return _run_attack(
         AttackKind.EPHEMERAL_COMPROMISE, seed, variant, delay, window, curve, True, impersonate

@@ -33,7 +33,7 @@ from ibaka.rand import DeterministicRandom
 from ibaka.sim import (
     CLIENT_ID,
     MessageOrder,
-    Outcome,
+    Role,
     SERVER_ID,
     TamperField,
     run_ephemeral_compromise_attack,
@@ -41,6 +41,7 @@ from ibaka.sim import (
     run_replay_attack,
     tamper_field,
 )
+from test_golden_reports import checked_reports
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "toy_messages.txt"
 
@@ -122,37 +123,14 @@ def test_criterion_3_honest_key_agreement():
 
 def test_criterion_4_replay_attack_matrix():
     with criterion(4, "replay: FLAWED 100/100 succeed; FIXED 100/100 rejected as expected"):
-        for seed in range(1, 101):
-            flawed = run_replay_attack(seed, Variant.FLAWED, delay=1000, window=10)
-            assert flawed.outcome is Outcome.SUCCEEDED
-
-            fixed = run_replay_attack(seed, Variant.FIXED, delay=1000, window=10)
-            assert fixed.outcome is Outcome.DEFEATED
-            assert fixed.reason == "BadSignature"
-
-            stale = run_replay_attack(
-                seed, Variant.FIXED, delay=1000, window=10, rewrite_timestamp=False
-            )
-            assert stale.outcome is Outcome.DEFEATED
-            assert stale.reason == "StaleTimestamp"
+        for row in ("replay-flawed", "replay-fixed", "replay-fixed-no-rewrite"):
+            checked_reports(row, Role.SERVER, range(1, 101))
 
 
 def test_criterion_5_ephemeral_compromise_matrix():
     with criterion(5, "compromise: FLAWED 100/100 key match; FIXED 100/100 defeated early"):
-        for seed in range(1, 101):
-            flawed = run_ephemeral_compromise_attack(seed, Variant.FLAWED, delay=1000)
-            assert flawed.outcome is Outcome.SUCCEEDED
-            assert flawed.keys_match
-            assert flawed.attacker_key == flawed.victim_key
-            assert flawed.attacker_key is not None
-
-            fixed = run_ephemeral_compromise_attack(seed, Variant.FIXED, delay=1000)
-            assert fixed.outcome is Outcome.DEFEATED
-            assert fixed.victim_key is None
-            assert fixed.attacker_key is None
-            assert not any(
-                e.action == "DERIVE_KEY" for e in fixed.transcript.events
-            )
+        for row in ("ephemeral-flawed", "ephemeral-fixed"):
+            checked_reports(row, Role.SERVER, range(1, 101))
 
 
 def _mutation_for(seed, field_length):

@@ -89,6 +89,14 @@ class TestAttack:
         assert doc["keys_match"] is False
         assert doc["victim_key_hex"] is None
 
+    def test_ephemeral_fixed_in_window_succeeds(self, capsys):
+        # At delay 0 the rewritten wire is the signed one, so FIXED accepts it.
+        argv = ("attack", "ephemeral", "--variant", "fixed", "--seed", "9", "--delay", "0")
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert (code, doc["outcome"], doc["keys_match"]) == (0, "SUCCEEDED", True)
+        assert run(capsys, *argv, "--expect", "defeated")[0] == 1
+
     def test_delay_inside_window_is_config_error(self, capsys):
         code, _, err = run(capsys, "attack", "replay", "--delay", "5")
         assert code == 2

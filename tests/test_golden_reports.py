@@ -1,10 +1,13 @@
-"""Golden report digests: the report bytes of every attack-table row and of
-every honest-exchange message order.
+"""The attack table, and golden digests of every row's reports and of every
+honest-exchange message order.
 
-Each line of golden/attack_reports.txt pins one attack-table row and one
-impersonated role on the toy curve; each line of golden/exchange_reports.txt
-pins one variant and one message order.  To regenerate both files after a
-deliberate change to the report format, run
+`ROWS` is the one attack table: each row holds its README label and the
+verdict that the golden test checks on every report it hashes.  The README's
+table is rendered from `ROWS`.  Each line of golden/attack_reports.txt pins
+one row and one impersonated role on the toy curve, each line of
+golden/exchange_reports.txt one variant and one message order.  After a
+deliberate change to the reports or the table, regenerate both files and the
+README's table with
 
     PYTHONPATH=src python -m tests.test_golden_reports
 
@@ -12,11 +15,13 @@ and say why in the change description.
 """
 
 import hashlib
+from collections import namedtuple
 from pathlib import Path
 
 from ibaka.ibs import Variant
 from ibaka.sim import (
     MessageOrder,
+    Outcome,
     Role,
     run_ephemeral_compromise_attack,
     run_honest_exchange,
@@ -24,13 +29,14 @@ from ibaka.sim import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 SEEDS = range(1, 51)
 
 ATTACK_HEADER = """\
 # SHA-256 of the attack reports on the toy curve (p=17, a=2, b=2, gen=(5,1), q=19).
-# Rule per line: concatenate runner(seed, variant, **options).to_json() for
-# seed = 1..50 in order, with the default delay and window and the given
-# impersonated role, encode as UTF-8, hash with SHA-256.
+# Rule per line: concatenate runner(seed, variant, impersonate=role, **options).to_json()
+# for seed = 1..50 in order, with the row's options (the default delay and
+# window where the row names none), encode as UTF-8, hash with SHA-256.
 # Regenerated and compared on every test run; never edit by hand.
 """
 
@@ -42,16 +48,59 @@ EXCHANGE_HEADER = """\
 # Regenerated and compared on every test run; never edit by hand.
 """
 
-# row name -> (runner, variant, extra keyword options)
+# What every report of a row shows: victim_key and attacker_key say whether
+# that party derives a key.
+Verdict = namedtuple("Verdict", "outcome reason victim_key attacker_key keys_match")
+ACCEPTED = Verdict(Outcome.SUCCEEDED, None, True, False, False)
+KEY_LEARNED = Verdict(Outcome.SUCCEEDED, None, True, True, True)
+BAD_SIGNATURE = Verdict(Outcome.DEFEATED, "BadSignature", False, False, False)
+STALE = Verdict(Outcome.DEFEATED, "StaleTimestamp", False, False, False)
+
+REWRITTEN = "replay with rewritten timestamp (delay > window)"
+UNCHANGED = "replay without rewriting (delay > window)"
+EPHEMERAL = "replay + compromised ephemeral `y` (delay > window)"
+IN_WINDOW = "replay + compromised ephemeral `y` (delay 0)"
+
+Row = namedtuple("Row", "label runner variant options verdict")
+REPLAY, COMPROMISE = run_replay_attack, run_ephemeral_compromise_attack
+FLAWED, FIXED = Variant.FLAWED, Variant.FIXED
+NO_REWRITE = {"rewrite_timestamp": False}
+
+# row name -> row; golden lines follow this order, so new rows go last.
 ROWS = {
-    "replay-flawed": (run_replay_attack, Variant.FLAWED, {}),
-    "replay-fixed": (run_replay_attack, Variant.FIXED, {}),
-    "replay-fixed-no-rewrite": (
-        run_replay_attack, Variant.FIXED, {"rewrite_timestamp": False},
-    ),
-    "ephemeral-flawed": (run_ephemeral_compromise_attack, Variant.FLAWED, {}),
-    "ephemeral-fixed": (run_ephemeral_compromise_attack, Variant.FIXED, {}),
+    "replay-flawed": Row(REWRITTEN, REPLAY, FLAWED, {}, ACCEPTED),
+    "replay-fixed": Row(REWRITTEN, REPLAY, FIXED, {}, BAD_SIGNATURE),
+    "replay-fixed-no-rewrite": Row(UNCHANGED, REPLAY, FIXED, NO_REWRITE, STALE),
+    "ephemeral-flawed": Row(EPHEMERAL, COMPROMISE, FLAWED, {}, KEY_LEARNED),
+    "ephemeral-fixed": Row(EPHEMERAL, COMPROMISE, FIXED, {}, BAD_SIGNATURE),
+    "replay-flawed-no-rewrite": Row(UNCHANGED, REPLAY, FLAWED, NO_REWRITE, STALE),
+    "ephemeral-flawed-in-window": Row(IN_WINDOW, COMPROMISE, FLAWED, {"delay": 0}, KEY_LEARNED),
+    "ephemeral-fixed-in-window": Row(IN_WINDOW, COMPROMISE, FIXED, {"delay": 0}, KEY_LEARNED),
 }
+
+# a verdict's last three fields (victim_key, attacker_key, keys_match) -> README words
+KEYS_TEXT = {
+    (False, False, False): "no key derived",
+    (True, False, False): "victim derives a key",
+    (True, True, True): "attacker gets the victim's key",
+}
+
+
+def verdict_of(report) -> Verdict:
+    """The report's verdict; each derived key has one DERIVE_KEY event, in order."""
+    keys = [key for key in (report.victim_key, report.attacker_key) if key is not None]
+    assert [e.payload for e in report.transcript.events if e.action == "DERIVE_KEY"] == keys
+    victim, attacker = report.victim_key is not None, report.attacker_key is not None
+    return Verdict(report.outcome, report.reason, victim, attacker, report.keys_match)
+
+
+def checked_reports(row: str, role: Role, seeds=SEEDS) -> list:
+    """The row's reports for one impersonated role, each checked against its verdict."""
+    _, run, variant, options, verdict = ROWS[row]
+    reports = [run(seed, variant, impersonate=role, **options) for seed in seeds]
+    for seed, report in zip(seeds, reports):
+        assert verdict_of(report) == verdict, f"{row} impersonate={role.name} seed={seed}"
+    return reports
 
 
 def _digest(reports) -> str:
@@ -59,16 +108,10 @@ def _digest(reports) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def report_digest(row: str, role: Role) -> str:
-    runner, variant, options = ROWS[row]
-    return _digest(runner(seed, variant, impersonate=role, **options) for seed in SEEDS)
-
-
 def attack_lines() -> list[str]:
     return [
-        f"row={row} impersonate={role.name} sha256={report_digest(row, role)}"
-        for row in ROWS
-        for role in Role
+        f"row={row} impersonate={role.name} sha256={_digest(checked_reports(row, role))}"
+        for row in ROWS for role in Role
     ]
 
 
@@ -76,9 +119,34 @@ def exchange_lines() -> list[str]:
     return [
         f"variant={variant.name} order={order.name} sha256="
         + _digest(run_honest_exchange(seed, variant, order) for seed in SEEDS)
-        for variant in Variant
-        for order in MessageOrder
+        for variant in Variant for order in MessageOrder
     ]
+
+
+def _cell(verdict: Verdict) -> str:
+    name = verdict.outcome.name + (f"({verdict.reason})" if verdict.reason else "")
+    return f"`{name}`: {KEYS_TEXT[verdict[2:]]}"
+
+
+def readme_table() -> list[str]:
+    """The README's attack table: one line per label, FLAWED and FIXED cells."""
+    cells = {}
+    for row in ROWS.values():
+        cells.setdefault(row.label, {})[row.variant] = _cell(row.verdict)
+    lines = [["attack", "FLAWED", "FIXED"]]
+    lines += [[label, cell[FLAWED], cell[FIXED]] for label, cell in cells.items()]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    lines.insert(1, ["-" * width for width in widths])
+    return ["| " + " | ".join(map(str.ljust, line, widths)) + " |" for line in lines]
+
+
+def readme_parts() -> tuple[list[str], list[str], list[str]]:
+    """The README's lines before, in and after its one table."""
+    lines = README.read_text(encoding="utf-8").split("\n")
+    table = [i for i, line in enumerate(lines) if line.startswith("|")]
+    start, end = table[0], table[-1] + 1
+    assert table == list(range(start, end)), "the README holds one table"
+    return lines[:start], lines[start:end], lines[end:]
 
 
 # golden file name -> (header, line builder)
@@ -89,10 +157,8 @@ GOLDEN = {
 
 
 def golden_file_lines(name: str) -> list[str]:
-    return [
-        line for line in (GOLDEN_DIR / name).read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
+    lines = (GOLDEN_DIR / name).read_text().splitlines()
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def test_attack_report_digests_match_golden_file():
@@ -107,6 +173,12 @@ def test_exchange_report_digests_match_golden_file():
     assert exchange_lines() == expected
 
 
+def test_readme_attack_table_is_rendered_from_rows():
+    assert readme_parts()[1] == readme_table()
+
+
 if __name__ == "__main__":
     for name, (header, lines) in GOLDEN.items():
         (GOLDEN_DIR / name).write_text(header + "\n".join(lines()) + "\n")
+    before, _, after = readme_parts()
+    README.write_text("\n".join(before + readme_table() + after), encoding="utf-8")
