@@ -8,6 +8,8 @@ transcripts and reports; the run's one clock stamps every transcript event.
 
 The adversary holds public parameters only: wire bytes and a leaked ephemeral
 reach it as arguments, and it never touches party-internal state.
+
+`ATTACK_TABLE` holds every attack row's verdict; `ibaka selftest` checks each row on seeds 1-5.
 """
 
 from __future__ import annotations
@@ -218,6 +220,11 @@ class ExchangeResult(namedtuple(
         })
 
 
+# What every report of an attack-table row shows: whether the victim and the
+# attacker each derive a key, besides the outcome, reason and keys_match.
+Verdict = namedtuple("Verdict", "outcome reason victim_derives attacker_derives keys_match")
+
+
 class AttackReport(namedtuple(
     "AttackReport", "attack variant outcome reason attacker_key victim_key transcript"
 )):
@@ -226,6 +233,11 @@ class AttackReport(namedtuple(
     @property
     def keys_match(self) -> bool:
         return self.attacker_key is not None and self.attacker_key == self.victim_key
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict(self.outcome, self.reason, self.victim_key is not None,
+                       self.attacker_key is not None, self.keys_match)
 
     def to_json(self) -> str:
         return _report_json(self.transcript, {
@@ -382,6 +394,30 @@ def run_ephemeral_compromise_attack(
     return _run_attack(
         AttackKind.EPHEMERAL_COMPROMISE, seed, variant, delay, window, curve, True, impersonate
     )
+
+
+_ACCEPTED = Verdict(Outcome.SUCCEEDED, None, True, False, False)
+_KEY_LEARNED = Verdict(Outcome.SUCCEEDED, None, True, True, True)
+_BAD_SIGNATURE = Verdict(Outcome.DEFEATED, "BadSignature", False, False, False)
+_STALE = Verdict(Outcome.DEFEATED, "StaleTimestamp", False, False, False)
+_NO_REWRITE = {"rewrite_timestamp": False}
+
+# The attack table.  Row name -> (runner, variant, options, verdict): every
+# run(seed, variant, impersonate=role, **options) ends with the verdict.  A
+# name starts with its command-line kind, and the golden lines follow this
+# order, so new rows go last.
+ATTACK_TABLE = {
+    "replay-flawed": (run_replay_attack, Variant.FLAWED, {}, _ACCEPTED),
+    "replay-fixed": (run_replay_attack, Variant.FIXED, {}, _BAD_SIGNATURE),
+    "replay-fixed-no-rewrite": (run_replay_attack, Variant.FIXED, _NO_REWRITE, _STALE),
+    "ephemeral-flawed": (run_ephemeral_compromise_attack, Variant.FLAWED, {}, _KEY_LEARNED),
+    "ephemeral-fixed": (run_ephemeral_compromise_attack, Variant.FIXED, {}, _BAD_SIGNATURE),
+    "replay-flawed-no-rewrite": (run_replay_attack, Variant.FLAWED, _NO_REWRITE, _STALE),
+    "ephemeral-flawed-in-window": (
+        run_ephemeral_compromise_attack, Variant.FLAWED, {"delay": 0}, _KEY_LEARNED),
+    "ephemeral-fixed-in-window": (
+        run_ephemeral_compromise_attack, Variant.FIXED, {"delay": 0}, _KEY_LEARNED),
+}
 
 
 def tamper_field(wire: bytes, field: TamperField, byte_index: int, xor_mask: int) -> bytes:

@@ -9,6 +9,7 @@ from ibaka.ibs import Variant, extract_key, pkg_setup
 from ibaka.protocol import DEFAULT_WINDOW
 from ibaka.rand import DeterministicRandom
 from ibaka import sim
+from ibaka.sim import ATTACK_TABLE
 
 SECP256K1_FILE = str(pathlib.Path(__file__).parent / "data" / "secp256k1.txt")
 TOY_FILE = "p = 17\na = 2\nb = 2\ngx = 5\ngy = 1\nq = 19\n"
@@ -43,59 +44,22 @@ class TestDemo:
         assert json.loads(out)["keys_equal"] is True
 
 
+# The attack-table rows the command line can express: every option but --delay is fixed.
+CLI_ROWS = [row for row, (_, _, options, _) in ATTACK_TABLE.items() if set(options) <= {"delay"}]
+
+
 class TestAttack:
-    def test_replay_flawed_expected_success(self, capsys):
-        code, out, _ = run(
-            capsys, "attack", "replay",
-            "--variant", "flawed", "--seed", "7", "--expect", "succeeded",
-        )
-        assert code == 0
-        assert json.loads(out)["outcome"] == "SUCCEEDED"
-
-    def test_replay_fixed_expected_defeat(self, capsys):
-        code, out, _ = run(
-            capsys, "attack", "replay",
-            "--variant", "fixed", "--seed", "7", "--expect", "defeated",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["outcome"] == "DEFEATED"
-        assert doc["reason"] == "BadSignature"
-
-    def test_expectation_mismatch_exits_1(self, capsys):
-        code, out, err = run(
-            capsys, "attack", "replay",
-            "--variant", "fixed", "--seed", "7", "--expect", "succeeded",
-        )
-        assert code == 1
-        assert "mismatch" in err
-
-    def test_ephemeral_flawed_matches_keys(self, capsys):
-        code, out, _ = run(
-            capsys, "attack", "ephemeral", "--variant", "flawed", "--seed", "9",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["keys_match"] is True
-        assert doc["attacker_key_hex"] == doc["victim_key_hex"]
-
-    def test_ephemeral_fixed_defeated(self, capsys):
-        code, out, _ = run(
-            capsys, "attack", "ephemeral", "--variant", "fixed", "--seed", "9",
-            "--expect", "defeated",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["keys_match"] is False
-        assert doc["victim_key_hex"] is None
-
-    def test_ephemeral_fixed_in_window_succeeds(self, capsys):
-        # At delay 0 the rewritten wire is the signed one, so FIXED accepts it.
-        argv = ("attack", "ephemeral", "--variant", "fixed", "--seed", "9", "--delay", "0")
-        code, out, _ = run(capsys, *argv)
-        doc = json.loads(out)
-        assert (code, doc["outcome"], doc["keys_match"]) == (0, "SUCCEEDED", True)
-        assert run(capsys, *argv, "--expect", "defeated")[0] == 1
+    @pytest.mark.parametrize("row", CLI_ROWS)
+    def test_prints_the_row_report(self, capsys, row):
+        """`ibaka attack` prints the row's report; --expect passes on its outcome only."""
+        runner, variant, options, verdict = ATTACK_TABLE[row]
+        argv = ["attack", row.split("-")[0], "--variant", variant.value, "--seed", "7"]
+        argv += ["--delay", str(options["delay"])] if options else []
+        assert run(capsys, *argv) == (0, runner(7, variant, **options).to_json(), "")
+        for outcome in sim.Outcome:
+            code, _, err = run(capsys, *argv, "--expect", outcome.name.lower())
+            matches = outcome is verdict.outcome
+            assert (code, "mismatch" in err) == (0 if matches else 1, not matches), outcome
 
     def test_delay_inside_window_is_config_error(self, capsys):
         code, _, err = run(capsys, "attack", "replay", "--delay", "5")
@@ -135,6 +99,25 @@ class TestSelftest:
             "PASS message-codec\n"
             "selftest: 8/8 passed\n"
         )
+
+    def test_every_table_row_has_an_attack_check(self):
+        """The two attack checks pick their rows by the kind that starts a row's
+        name; a row of another kind would go unchecked until it gets a check."""
+        assert {row.split("-")[0] for row in ATTACK_TABLE} == {"replay", "ephemeral"}
+
+    @pytest.mark.parametrize("row, check", [
+        ("replay-flawed-no-rewrite", "replay-matrix"),
+        ("ephemeral-fixed-in-window", "ephemeral-matrix"),
+    ])
+    def test_a_wrong_table_verdict_fails_its_check(self, capsys, monkeypatch, row, check):
+        """Each attack check reads its rows' verdicts from the table and runs them."""
+        runner, variant, options, verdict = ATTACK_TABLE[row]
+        wrong = verdict._replace(keys_match=not verdict.keys_match)
+        monkeypatch.setitem(ATTACK_TABLE, row, (runner, variant, options, wrong))
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {check}"]
+        assert out.endswith("selftest: 7/8 passed\n")
 
 
 class TestKeygen:

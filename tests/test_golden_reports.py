@@ -1,13 +1,13 @@
-"""The attack table, and golden digests of every row's reports and of every
-honest-exchange message order.
+"""The attack table's README labels, and golden digests of every row's reports
+and of every honest-exchange message order.
 
-`ROWS` is the one attack table: each row holds its README label and the
-verdict that the golden test checks on every report it hashes.  The README's
-table is rendered from `ROWS`.  Each line of golden/attack_reports.txt pins
-one row and one impersonated role on the toy curve, each line of
-golden/exchange_reports.txt one variant and one message order.  After a
-deliberate change to the reports or the table, regenerate both files and the
-README's table with
+`ibaka.sim.ATTACK_TABLE` is the one attack table; the golden test checks each
+row's verdict on every report it hashes.  `LABELS` gives each row its README
+label, and the README's table is rendered from the two.  Each line of
+golden/attack_reports.txt pins one row and one impersonated role on the toy
+curve, each line of golden/exchange_reports.txt one variant and one message
+order.  After a deliberate change to the reports or the table, regenerate both
+files and the README's table with
 
     PYTHONPATH=src python -m tests.test_golden_reports
 
@@ -15,18 +15,10 @@ and say why in the change description.
 """
 
 import hashlib
-from collections import namedtuple
 from pathlib import Path
 
 from ibaka.ibs import Variant
-from ibaka.sim import (
-    MessageOrder,
-    Outcome,
-    Role,
-    run_ephemeral_compromise_attack,
-    run_honest_exchange,
-    run_replay_attack,
-)
+from ibaka.sim import ATTACK_TABLE, MessageOrder, Role, Verdict, run_honest_exchange
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -48,37 +40,24 @@ EXCHANGE_HEADER = """\
 # Regenerated and compared on every test run; never edit by hand.
 """
 
-# What every report of a row shows: victim_key and attacker_key say whether
-# that party derives a key.
-Verdict = namedtuple("Verdict", "outcome reason victim_key attacker_key keys_match")
-ACCEPTED = Verdict(Outcome.SUCCEEDED, None, True, False, False)
-KEY_LEARNED = Verdict(Outcome.SUCCEEDED, None, True, True, True)
-BAD_SIGNATURE = Verdict(Outcome.DEFEATED, "BadSignature", False, False, False)
-STALE = Verdict(Outcome.DEFEATED, "StaleTimestamp", False, False, False)
-
 REWRITTEN = "replay with rewritten timestamp (delay > window)"
 UNCHANGED = "replay without rewriting (delay > window)"
 EPHEMERAL = "replay + compromised ephemeral `y` (delay > window)"
 IN_WINDOW = "replay + compromised ephemeral `y` (delay 0)"
 
-Row = namedtuple("Row", "label runner variant options verdict")
-REPLAY, COMPROMISE = run_replay_attack, run_ephemeral_compromise_attack
-FLAWED, FIXED = Variant.FLAWED, Variant.FIXED
-NO_REWRITE = {"rewrite_timestamp": False}
-
-# row name -> row; golden lines follow this order, so new rows go last.
-ROWS = {
-    "replay-flawed": Row(REWRITTEN, REPLAY, FLAWED, {}, ACCEPTED),
-    "replay-fixed": Row(REWRITTEN, REPLAY, FIXED, {}, BAD_SIGNATURE),
-    "replay-fixed-no-rewrite": Row(UNCHANGED, REPLAY, FIXED, NO_REWRITE, STALE),
-    "ephemeral-flawed": Row(EPHEMERAL, COMPROMISE, FLAWED, {}, KEY_LEARNED),
-    "ephemeral-fixed": Row(EPHEMERAL, COMPROMISE, FIXED, {}, BAD_SIGNATURE),
-    "replay-flawed-no-rewrite": Row(UNCHANGED, REPLAY, FLAWED, NO_REWRITE, STALE),
-    "ephemeral-flawed-in-window": Row(IN_WINDOW, COMPROMISE, FLAWED, {"delay": 0}, KEY_LEARNED),
-    "ephemeral-fixed-in-window": Row(IN_WINDOW, COMPROMISE, FIXED, {"delay": 0}, KEY_LEARNED),
+# ATTACK_TABLE row name -> README label
+LABELS = {
+    "replay-flawed": REWRITTEN,
+    "replay-fixed": REWRITTEN,
+    "replay-fixed-no-rewrite": UNCHANGED,
+    "ephemeral-flawed": EPHEMERAL,
+    "ephemeral-fixed": EPHEMERAL,
+    "replay-flawed-no-rewrite": UNCHANGED,
+    "ephemeral-flawed-in-window": IN_WINDOW,
+    "ephemeral-fixed-in-window": IN_WINDOW,
 }
 
-# a verdict's last three fields (victim_key, attacker_key, keys_match) -> README words
+# a verdict's last three fields (victim_derives, attacker_derives, keys_match) -> README words
 KEYS_TEXT = {
     (False, False, False): "no key derived",
     (True, False, False): "victim derives a key",
@@ -90,13 +69,12 @@ def verdict_of(report) -> Verdict:
     """The report's verdict; each derived key has one DERIVE_KEY event, in order."""
     keys = [key for key in (report.victim_key, report.attacker_key) if key is not None]
     assert [e.payload for e in report.transcript.events if e.action == "DERIVE_KEY"] == keys
-    victim, attacker = report.victim_key is not None, report.attacker_key is not None
-    return Verdict(report.outcome, report.reason, victim, attacker, report.keys_match)
+    return report.verdict
 
 
 def checked_reports(row: str, role: Role, seeds=SEEDS) -> list:
     """The row's reports for one impersonated role, each checked against its verdict."""
-    _, run, variant, options, verdict = ROWS[row]
+    run, variant, options, verdict = ATTACK_TABLE[row]
     reports = [run(seed, variant, impersonate=role, **options) for seed in seeds]
     for seed, report in zip(seeds, reports):
         assert verdict_of(report) == verdict, f"{row} impersonate={role.name} seed={seed}"
@@ -111,7 +89,7 @@ def _digest(reports) -> str:
 def attack_lines() -> list[str]:
     return [
         f"row={row} impersonate={role.name} sha256={_digest(checked_reports(row, role))}"
-        for row in ROWS for role in Role
+        for row in ATTACK_TABLE for role in Role
     ]
 
 
@@ -131,10 +109,10 @@ def _cell(verdict: Verdict) -> str:
 def readme_table() -> list[str]:
     """The README's attack table: one line per label, FLAWED and FIXED cells."""
     cells = {}
-    for row in ROWS.values():
-        cells.setdefault(row.label, {})[row.variant] = _cell(row.verdict)
+    for row, (_, variant, _, verdict) in ATTACK_TABLE.items():
+        cells.setdefault(LABELS[row], {})[variant] = _cell(verdict)
     lines = [["attack", "FLAWED", "FIXED"]]
-    lines += [[label, cell[FLAWED], cell[FIXED]] for label, cell in cells.items()]
+    lines += [[label, cell[Variant.FLAWED], cell[Variant.FIXED]] for label, cell in cells.items()]
     widths = [max(map(len, column)) for column in zip(*lines)]
     lines.insert(1, ["-" * width for width in widths])
     return ["| " + " | ".join(map(str.ljust, line, widths)) + " |" for line in lines]
@@ -163,7 +141,7 @@ def golden_file_lines(name: str) -> list[str]:
 
 def test_attack_report_digests_match_golden_file():
     expected = golden_file_lines("attack_reports.txt")
-    assert len(expected) == len(ROWS) * len(Role)
+    assert len(expected) == len(ATTACK_TABLE) * len(Role)
     assert attack_lines() == expected
 
 
@@ -174,6 +152,7 @@ def test_exchange_report_digests_match_golden_file():
 
 
 def test_readme_attack_table_is_rendered_from_rows():
+    assert list(LABELS) == list(ATTACK_TABLE)
     assert readme_parts()[1] == readme_table()
 
 
