@@ -61,6 +61,24 @@ class TestAttack:
             matches = outcome is verdict.outcome
             assert (code, "mismatch" in err) == (0 if matches else 1, not matches), outcome
 
+    def test_replay_fixed_expected_defeat(self, capsys):
+        code, out, _ = run(
+            capsys, "attack", "replay",
+            "--variant", "fixed", "--seed", "7", "--expect", "defeated",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["outcome"] == "DEFEATED"
+        assert doc["reason"] == "BadSignature"
+
+    def test_expectation_mismatch_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "attack", "replay",
+            "--variant", "fixed", "--seed", "7", "--expect", "succeeded",
+        )
+        assert code == 1
+        assert "mismatch" in err
+
     def test_delay_inside_window_is_config_error(self, capsys):
         code, _, err = run(capsys, "attack", "replay", "--delay", "5")
         assert code == 2
