@@ -11,36 +11,28 @@ from pathlib import Path
 
 import pytest
 
-from ibaka.group import IDENTITY, Point, PointNotOnCurve, TOY_CURVE
-from ibaka.ibs import (
-    Variant,
-    digest_to_scalar,
-    extract_key,
-    h1_scalar,
-    pkg_setup,
-    sign,
-    verify_signature,
-)
+from ibaka.group import IDENTITY, Point, TOY_CURVE
+from ibaka.ibs import Variant, digest_to_scalar, h1_scalar, sign, verify_signature
 from ibaka.protocol import (
     MalformedMessage,
-    ProtocolError,
-    build_message,
+    _field_spans,
     decode_message,
     encode_message,
     verify_message,
 )
-from ibaka.rand import DeterministicRandom
 from ibaka.sim import (
     CLIENT_ID,
     MessageOrder,
     Role,
     SERVER_ID,
     TamperField,
+    _extracted,
     run_ephemeral_compromise_attack,
     run_honest_exchange,
     run_replay_attack,
     tamper_field,
 )
+from conftest import rejected, seeded_message
 from test_golden_reports import checked_reports
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "toy_messages.txt"
@@ -56,16 +48,6 @@ def criterion(number, description):
         raise
     elapsed = time.perf_counter() - started
     print(f"\nPASS [criterion {number}] {description} ({elapsed:.2f}s)")
-
-
-def seeded_server_message(seed, variant, now=100):
-    """The fixed generation rule shared with the golden-vector file."""
-    rng = DeterministicRandom(seed)
-    master = pkg_setup(TOY_CURVE, rng)
-    server = extract_key(master, SERVER_ID, rng)
-    extract_key(master, CLIENT_ID, rng)
-    msg, y = build_message(server, CLIENT_ID, now, variant, rng)
-    return master, msg, y
 
 
 def test_criterion_1_group_oracle_equivalence():
@@ -90,9 +72,7 @@ def test_criterion_2_signature_round_trip():
         started = time.perf_counter()
         for variant in Variant:
             for seed in range(1, 1001):
-                rng = DeterministicRandom(seed)
-                master = pkg_setup(TOY_CURVE, rng)
-                keys = extract_key(master, SERVER_ID, rng)
+                rng, master, [keys] = _extracted(seed, TOY_CURVE, SERVER_ID)
                 y = rng.scalar(TOY_CURVE.q)
                 Y = TOY_CURVE.mul(y, TOY_CURVE.gen)
                 sig, X = sign(keys, CLIENT_ID, Y, 100, variant, rng)
@@ -139,18 +119,8 @@ def _mutation_for(seed, field_length):
 
 
 def _field_length(wire, field):
-    from ibaka.sim import _field_spans
     start, end = _field_spans(wire)[field.value]
     return end - start
-
-
-def _is_rejected(wire, master, variant, now):
-    try:
-        msg = decode_message(TOY_CURVE, wire)
-        verify_message(TOY_CURVE, msg, CLIENT_ID, master.public, now, 10, variant)
-    except (ProtocolError, PointNotOnCurve):
-        return True
-    return False
 
 
 def test_criterion_6_binding_tamper_suite():
@@ -161,13 +131,13 @@ def test_criterion_6_binding_tamper_suite():
     with criterion(6, "200 messages per variant: bound fields reject, t free only when FLAWED"):
         for variant in Variant:
             for seed in range(1, 201):
-                master, msg, _ = seeded_server_message(seed, variant)
+                master, msg, _ = seeded_message(seed, variant)
                 wire = encode_message(TOY_CURVE, msg)
 
                 for field in bound_fields:
                     index, mask = _mutation_for(seed, _field_length(wire, field))
                     mutated = tamper_field(wire, field, index, mask)
-                    assert _is_rejected(mutated, master, variant, now=100), (
+                    assert rejected(mutated, master, variant, now=100), (
                         variant, seed, field,
                     )
 
@@ -183,7 +153,7 @@ def test_criterion_6_binding_tamper_suite():
                     )
                     assert verified.peer_id == SERVER_ID
                 else:
-                    assert _is_rejected(moved, master, variant, now=new_t)
+                    assert rejected(moved, master, variant, now=new_t)
 
 
 def test_criterion_7_determinism():
@@ -202,8 +172,8 @@ def test_criterion_7_determinism():
                 compromise_b = run_ephemeral_compromise_attack(seed, variant)
                 assert compromise_a.to_json() == compromise_b.to_json()
 
-            _, msg_a, _ = seeded_server_message(seed, Variant.FIXED)
-            _, msg_b, _ = seeded_server_message(seed, Variant.FIXED)
+            _, msg_a, _ = seeded_message(seed, Variant.FIXED)
+            _, msg_b, _ = seeded_message(seed, Variant.FIXED)
             assert encode_message(TOY_CURVE, msg_a) == encode_message(TOY_CURVE, msg_b)
 
 
@@ -221,12 +191,12 @@ def test_criterion_8_wire_codec():
     with criterion(8, "1000 codec round trips, 50 truncations rejected, golden vectors match"):
         for variant in Variant:
             for seed in range(1, 501):
-                _, msg, _ = seeded_server_message(seed, variant)
+                _, msg, _ = seeded_message(seed, variant)
                 wire = encode_message(TOY_CURVE, msg)
                 assert decode_message(TOY_CURVE, wire) == msg
 
         for seed in range(1, 51):
-            _, msg, _ = seeded_server_message(seed, Variant.FIXED)
+            _, msg, _ = seeded_message(seed, Variant.FIXED)
             wire = encode_message(TOY_CURVE, msg)
             with pytest.raises(MalformedMessage):
                 decode_message(TOY_CURVE, wire[:-1])
@@ -234,5 +204,5 @@ def test_criterion_8_wire_codec():
         vectors = _load_golden_vectors()
         assert len(vectors) == 20
         for seed, variant, expected_hex in vectors:
-            _, msg, _ = seeded_server_message(seed, variant)
+            _, msg, _ = seeded_message(seed, variant)
             assert encode_message(TOY_CURVE, msg).hex() == expected_hex

@@ -1,18 +1,14 @@
 import json
-import pathlib
 
 import pytest
 
 from ibaka.cli import main
 from ibaka.group import TOY_CURVE, load_curve_file
-from ibaka.ibs import Variant, extract_key, pkg_setup
+from ibaka.ibs import Variant
 from ibaka.protocol import DEFAULT_WINDOW
-from ibaka.rand import DeterministicRandom
 from ibaka import sim
 from ibaka.sim import ATTACK_TABLE
-
-SECP256K1_FILE = str(pathlib.Path(__file__).parent / "data" / "secp256k1.txt")
-TOY_FILE = "p = 17\na = 2\nb = 2\ngx = 5\ngy = 1\nq = 19\n"
+from conftest import SECP256K1_FILE, TOY_FILE
 
 
 def run(capsys, *argv):
@@ -149,21 +145,20 @@ class TestKeygen:
         assert 0 <= int(fields["rx"]) < 17
         assert 0 <= int(fields["ry"]) < 17
 
-    @pytest.mark.parametrize("curve_arg", ["TOY", SECP256K1_FILE], ids=["TOY", "secp256k1"])
+    @pytest.mark.parametrize("curve_arg", ["TOY", str(SECP256K1_FILE)], ids=["TOY", "secp256k1"])
     def test_fields_are_the_library_draws(self, capsys, curve_arg):
-        # keygen draws PKG setup, then extraction, from one source seeded with --seed.
+        # keygen's key is the seeded set-up's draw for --id alone.
         code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "sensor-7",
                            "--curve", curve_arg)
         assert code == 0
         curve = TOY_CURVE if curve_arg == "TOY" else load_curve_file(curve_arg)
-        rng = DeterministicRandom(5)
-        keys = extract_key(pkg_setup(curve, rng), "sensor-7", rng)
+        _, _, [keys] = sim._extracted(5, curve, "sensor-7")
         fields = dict(l.split(" = ") for l in out.splitlines() if not l.startswith("#"))
         assert fields == {
             "id": "sensor-7", "s": str(keys.secret), "rx": str(keys.R.x), "ry": str(keys.R.y),
         }
 
-    @pytest.mark.parametrize("curve_arg", ["TOY", SECP256K1_FILE], ids=["TOY", "secp256k1"])
+    @pytest.mark.parametrize("curve_arg", ["TOY", str(SECP256K1_FILE)], ids=["TOY", "secp256k1"])
     def test_keys_are_the_simulators_server_keys(self, capsys, curve_arg):
         # keygen and the simulator share one seeded set-up, server key first.
         code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "server-1",

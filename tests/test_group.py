@@ -7,7 +7,6 @@ test_secp256k1_mul_matches_cryptography, which compares 256-bit scalar
 multiplication with the installed cryptography package.
 """
 
-import pathlib
 import random
 
 import pytest
@@ -33,9 +32,9 @@ from ibaka.group import (
 )
 from ibaka.ibs import Variant
 from ibaka.sim import run_honest_exchange
+from conftest import SECP256K1_FILE, TOY_FILE
 
 P17, A17, B17 = 17, 2, 2
-SECP256K1_FILE = pathlib.Path(__file__).parent / "data" / "secp256k1.txt"
 
 
 def oracle_points(p=P17, a=A17, b=B17):
@@ -266,13 +265,6 @@ class TestScalarMul:
     def test_generator_doubling(self):
         assert TOY_CURVE.mul(2, TOY_CURVE.gen) == Point(6, 3)
 
-    def test_matches_repeated_addition(self):
-        for u in TOY_POINTS:
-            running = IDENTITY
-            for k in range(2 * TOY_CURVE.q):
-                assert TOY_CURVE.mul(k, u) == running
-                running = TOY_CURVE.add(running, u)
-
     def test_order_minus_one_negates(self):
         expected = TOY_CURVE.negate(TOY_CURVE.gen)
         assert TOY_CURVE.mul(TOY_CURVE.q - 1, TOY_CURVE.gen) == expected
@@ -325,16 +317,6 @@ class TestPointCodec:
         with pytest.raises(PointNotOnCurve):
             TOY_CURVE.decode_point(bytes([0x04, 0x00, 0x00]))
 
-
-TOY_FILE = """\
-# desk-scale curve
-p = 17
-a = 2
-b = 2
-gx = 5
-gy = 1
-q = 19
-"""
 
 # TOY_FILE without its comment, as raw bytes: q is on line 6.
 TOY_FILE_BYTES = TOY_FILE.split("\n", 1)[1].encode()
@@ -676,17 +658,21 @@ def test_secp256k1_generator_table_matches_double_and_add(production_curve):
         assert c.mul(k, c.gen) == c.mul(-k, minus_gen), hex(k)
 
 
+def assert_mul_matches_repeated_addition(c, points):
+    """mul(k, u) is k-fold repeated addition of u, for each u and every k in [-2q, 3q)."""
+    for u in points:
+        multiples = [IDENTITY]
+        for _ in range(3 * c.q):
+            multiples.append(c.add(multiples[-1], u))
+        for k in range(-2 * c.q, 3 * c.q):
+            expected = multiples[k] if k >= 0 else c.negate(multiples[-k])
+            assert c.mul(k, u) == expected, (c, u, k)
+
+
 def test_mul_matches_repeated_addition_for_signed_multiples():
     """Every TOY point and every k in [-2q, 3q): covers the doubling and
     cancelling branches of the Jacobian sum."""
-    q = TOY_CURVE.q
-    for u in TOY_POINTS:
-        multiples = [IDENTITY]
-        for _ in range(3 * q):
-            multiples.append(TOY_CURVE.add(multiples[-1], u))
-        for k in range(-2 * q, 3 * q):
-            expected = multiples[k] if k >= 0 else TOY_CURVE.negate(multiples[-k])
-            assert TOY_CURVE.mul(k, u) == expected, (u, k)
+    assert_mul_matches_repeated_addition(TOY_CURVE, TOY_POINTS)
 
 
 def test_secp256k1_mul_near_multiples_of_the_order(production_curve):
@@ -743,14 +729,7 @@ def test_mul_on_an_a0_curve_matches_repeated_addition():
         assert len(row) == 129
         assert [d for d, entry in enumerate(row) if entry is None] == list(range(0, 129, c.q))
     for c in (a0, q2, q3, q13, q43):
-        q = c.q
-        for u in curve_points(c):
-            multiples = [IDENTITY]
-            for _ in range(3 * q):
-                multiples.append(c.add(multiples[-1], u))
-            for k in range(-2 * q, 3 * q):
-                expected = multiples[k] if k >= 0 else c.negate(multiples[-k])
-                assert c.mul(k, u) == expected, (c, u, k)
+        assert_mul_matches_repeated_addition(c, curve_points(c))
 
 
 # Parameters of two curves whose generator tables have two rows at w = 8.
@@ -770,14 +749,8 @@ def test_two_row_tables_match_repeated_addition():
     plain = validate_params(*TWO_ROW_PLAIN)
     assert plain._endomorphism is None
     assert [len(row) for row in plain._gen_table] == [129, 129]
-    q = plain.q
-    for u in [plain.gen] + [plain.mul(j, plain.gen) for j in (2, 100, 256)]:
-        multiples = [IDENTITY]
-        for _ in range(3 * q):
-            multiples.append(plain.add(multiples[-1], u))
-        for k in range(-2 * q, 3 * q):
-            expected = multiples[k] if k >= 0 else plain.negate(multiples[-k])
-            assert plain.mul(k, u) == expected, (u, k)
+    others = [plain.mul(j, plain.gen) for j in (2, 100, 256)]
+    assert_mul_matches_repeated_addition(plain, [plain.gen] + others)
 
     split = validate_params(*TWO_ROW_SPLIT)
     _, lam, basis = split._endomorphism

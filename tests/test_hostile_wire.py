@@ -9,21 +9,15 @@ import pytest
 
 from ibaka.group import PointNotOnCurve, TOY_CURVE
 from ibaka.ibs import Variant
-from ibaka.protocol import (
-    MalformedMessage,
-    OffCurvePoint,
-    ProtocolError,
-    build_message,
-    encode_message,
-)
-from ibaka.sim import Adversary, TamperField, _field_spans, _setup, tamper_field
+from ibaka.protocol import MalformedMessage, OffCurvePoint, ProtocolError, _field_spans
+from ibaka.sim import Adversary, TamperField, _setup, tamper_field
 
 
 def seeded_exchange():
-    """The seed-1 client and the server's first wire toward it, not yet recorded."""
+    """The seed-1 client and the server's first wire toward it, recorded as its SEND."""
     rng, server, client = _setup(1, Variant.FLAWED, 10, TOY_CURVE)
-    msg, _ = build_message(server.keys, client.id, server.transcript.clock.now, server.variant, rng)
-    return client, encode_message(TOY_CURVE, msg)
+    wire, _ = server.send(client.id, rng)
+    return client, wire
 
 
 def hostile_wires():
@@ -56,7 +50,7 @@ def test_off_curve_delivery_is_a_recorded_protocol_error():
         client.receive(tampered)
     assert isinstance(caught.value, OffCurvePoint)
     assert isinstance(caught.value, PointNotOnCurve)
-    events = client.transcript.events
+    events = client.transcript.events[1:]
     assert [e.action for e in events] == ["VERIFY_FAIL(OffCurvePoint)"]
     assert events[0].payload == tampered
     with pytest.raises(OffCurvePoint):

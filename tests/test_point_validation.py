@@ -8,12 +8,10 @@ peer's Y.  The tests walk all 17^2 - 18 = 271 off-curve pairs (x, y) in F_17^2.
 import pytest
 
 from ibaka.group import Point, PointNotOnCurve, TOY_CURVE
-from ibaka.ibs import Variant, extract_key, pkg_setup, sign, verify_signature
+from ibaka.ibs import Variant, sign, verify_signature
 from ibaka.protocol import InvalidPeerPoint, derive_session_key
-from ibaka.rand import DeterministicRandom
+from ibaka.sim import CLIENT_ID, SERVER_ID, _extracted
 
-SERVER = "server-1"
-CLIENT = "sensor-7"
 TICKS = 100
 
 # Straight from y^2 = x^3 + 2x + 2 over F_17, not from Curve.is_on_curve.
@@ -47,20 +45,18 @@ def test_mul_and_add_reject_every_off_curve_pair():
 def test_derive_session_key_rejects_every_off_curve_pair():
     for u in OFF_CURVE:
         with pytest.raises(InvalidPeerPoint):
-            derive_session_key(TOY_CURVE, SERVER, CLIENT, 5, u)
+            derive_session_key(TOY_CURVE, SERVER_ID, CLIENT_ID, 5, u)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_verify_signature_is_false_for_every_off_curve_pair(variant):
-    rng = DeterministicRandom(1)
-    master = pkg_setup(TOY_CURVE, rng)
-    keys = extract_key(master, SERVER, rng)
+    rng, master, [keys] = _extracted(1, TOY_CURVE, SERVER_ID)
     Y = TOY_CURVE.mul(rng.scalar(TOY_CURVE.q), TOY_CURVE.gen)
-    sig, _ = sign(keys, CLIENT, Y, TICKS, variant, rng)
+    sig, _ = sign(keys, CLIENT_ID, Y, TICKS, variant, rng)
 
     def verifies(sig, Y):
         return verify_signature(
-            TOY_CURVE, sig, SERVER, CLIENT, Y, TICKS, master.public, variant
+            TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, TICKS, master.public, variant
         )
 
     assert verifies(sig, Y)

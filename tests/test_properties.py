@@ -10,8 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from ibaka.group import TOY_CURVE
 from ibaka.ibs import Variant
-from ibaka.protocol import ProtocolError, build_message, decode_message, encode_message
-from ibaka.sim import TamperField, _field_spans, _setup, tamper_field
+from ibaka.protocol import (
+    ProtocolError,
+    _field_spans,
+    build_message,
+    decode_message,
+    encode_message,
+)
+from ibaka.sim import TamperField, _setup, tamper_field
 
 reproducible = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -20,13 +26,12 @@ variants = st.sampled_from(Variant)
 
 
 def server_wire(seed, variant):
-    """The client and the server's first encoded message toward it, not yet
-    recorded.  The client's window of 2^64 ticks makes every 64-bit t fresh,
-    so a changed timestamp is judged by the signature and not by the
-    freshness window."""
+    """The client and the server's first wire toward it.  The client's window
+    of 2^64 ticks makes every 64-bit t fresh, so a changed timestamp is
+    judged by the signature and not by the freshness window."""
     rng, server, client = _setup(seed, variant, 2 ** 64, TOY_CURVE)
-    msg, _ = build_message(server.keys, client.id, server.transcript.clock.now, variant, rng)
-    return client, encode_message(TOY_CURVE, msg)
+    wire, _ = server.send(client.id, rng)
+    return client, wire
 
 
 @reproducible

@@ -10,9 +10,8 @@ import pytest
 
 import ibaka
 from ibaka.group import TOY_CURVE
-from ibaka.ibs import Variant, extract_key, pkg_setup, sign
+from ibaka.ibs import Variant, sign
 from ibaka.protocol import ProtocolMessage, VerifiedPeer
-from ibaka.rand import DeterministicRandom
 from ibaka import sim
 
 HEAVY_MODULES = ("dataclasses", "typing", "inspect", "ast", "json")
@@ -37,15 +36,13 @@ def test_import_loads_no_heavy_module():
 
 RECORD_TYPES = (
     "Point", "Curve", "MasterKeyPair", "EntityKeyPair", "Signature", "ProtocolMessage",
-    "VerifiedPeer", "Party", "TranscriptEvent", "ExchangeResult", "AttackReport",
+    "VerifiedPeer", "Party", "TranscriptEvent", "ExchangeResult", "AttackReport", "Verdict",
 )
 
 
 def _records():
     """One instance of each record type, by type name, from a TOY run."""
-    rng = DeterministicRandom(1)
-    master = pkg_setup(TOY_CURVE, rng)
-    keys = extract_key(master, sim.SERVER_ID, rng)
+    rng, master, [keys] = sim._extracted(1, TOY_CURVE, sim.SERVER_ID)
     sig, _ = sign(keys, sim.CLIENT_ID, TOY_CURVE.gen, 100, Variant.FIXED, rng)
     exchange = sim.run_honest_exchange(1, Variant.FIXED)
     attack = sim.run_replay_attack(1, Variant.FIXED)
@@ -54,7 +51,7 @@ def _records():
         TOY_CURVE.gen, TOY_CURVE, master, keys, sig,
         ProtocolMessage(keys.identity, TOY_CURVE.gen, sig, 100),
         VerifiedPeer(keys.identity, TOY_CURVE.gen),
-        server, exchange.transcript.events[0], exchange, attack,
+        server, exchange.transcript.events[0], exchange, attack, attack.verdict,
     ]
     return {type(record).__name__: record for record in records}
 

@@ -3,18 +3,16 @@ import json
 import pytest
 
 from ibaka.group import TOY_CURVE
-from ibaka.ibs import Variant, extract_key, pkg_setup
+from ibaka.ibs import Variant
 from ibaka.protocol import (
     DEFAULT_WINDOW,
     BadSignature,
     MalformedMessage,
     StaleTimestamp,
-    build_message,
     decode_message,
     encode_message,
     verify_message,
 )
-from ibaka.rand import DeterministicRandom
 from ibaka.sim import (
     Adversary,
     AttackKind,
@@ -34,6 +32,7 @@ from ibaka.sim import (
     run_replay_attack,
     tamper_field,
 )
+from conftest import rejected, seeded_message
 
 REPORT_KEYS = [
     "attack", "variant", "outcome", "reason",
@@ -308,38 +307,21 @@ class TestAttackReportSerialization:
 
 
 class TestTamperField:
-    def wire_and_context(self, variant):
-        rng = DeterministicRandom(21)
-        master = pkg_setup(TOY_CURVE, rng)
-        keys = extract_key(master, SERVER_ID, rng)
-        msg, _ = build_message(keys, CLIENT_ID, 100, variant, rng)
-        return encode_message(TOY_CURVE, msg), master
-
-    def rejected(self, wire, master, variant, now):
-        from ibaka.group import PointNotOnCurve
-        from ibaka.protocol import ProtocolError
-        try:
-            msg = decode_message(TOY_CURVE, wire)
-            verify_message(TOY_CURVE, msg, CLIENT_ID, master.public, now, 10, variant)
-        except (ProtocolError, PointNotOnCurve):
-            return True
-        return False
-
     @pytest.mark.parametrize("variant", list(Variant))
     def test_mu_mutation_rejected(self, variant):
-        wire, master = self.wire_and_context(variant)
-        mutated = tamper_field(wire, TamperField.MU, 0, 0x01)
-        assert self.rejected(mutated, master, variant, now=100)
+        master, msg, _ = seeded_message(21, variant)
+        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.MU, 0, 0x01)
+        assert rejected(mutated, master, variant, now=100)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_sender_mutation_rejected(self, variant):
-        wire, master = self.wire_and_context(variant)
-        mutated = tamper_field(wire, TamperField.SENDER_ID, 0, 0x04)
-        assert self.rejected(mutated, master, variant, now=100)
+        master, msg, _ = seeded_message(21, variant)
+        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.SENDER_ID, 0, 0x04)
+        assert rejected(mutated, master, variant, now=100)
 
     def test_timestamp_mutation_accepted_under_flawed_when_fresh(self):
-        wire, master = self.wire_and_context(Variant.FLAWED)
-        mutated = tamper_field(wire, TamperField.T, 7, 0x0F)
+        master, msg, _ = seeded_message(21, Variant.FLAWED)
+        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.T, 7, 0x0F)
         msg = decode_message(TOY_CURVE, mutated)
         verified = verify_message(
             TOY_CURVE, msg, CLIENT_ID, master.public, msg.t, 10, Variant.FLAWED
@@ -347,17 +329,17 @@ class TestTamperField:
         assert verified.peer_id == SERVER_ID
 
     def test_timestamp_mutation_rejected_under_fixed(self):
-        wire, master = self.wire_and_context(Variant.FIXED)
-        mutated = tamper_field(wire, TamperField.T, 7, 0x0F)
-        assert self.rejected(mutated, master, Variant.FIXED, now=int.from_bytes(mutated[-8:], "big"))
+        master, msg, _ = seeded_message(21, Variant.FIXED)
+        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.T, 7, 0x0F)
+        assert rejected(mutated, master, Variant.FIXED, now=int.from_bytes(mutated[-8:], "big"))
 
     def test_byte_index_out_of_range(self):
-        wire, _ = self.wire_and_context(Variant.FLAWED)
+        wire = encode_message(TOY_CURVE, seeded_message(21, Variant.FLAWED)[1])
         with pytest.raises(FieldOutOfRange):
             tamper_field(wire, TamperField.MU, 5, 0x01)
 
     def test_zero_mask_rejected(self):
-        wire, _ = self.wire_and_context(Variant.FLAWED)
+        wire = encode_message(TOY_CURVE, seeded_message(21, Variant.FLAWED)[1])
         with pytest.raises(ValueError):
             tamper_field(wire, TamperField.MU, 0, 0)
 
