@@ -461,8 +461,8 @@ def test_hasse_rule_matches_a_point_count():
                     while k % q == 0:
                         k //= q
                     gen = next(g for g in (oracle_mul(k, u, p, a) for u in affine) if g)
-                    while oracle_mul(q, gen, p, a) is not None:
-                        gen = oracle_mul(q, gen, p, a)
+                    while (next_gen := oracle_mul(q, gen, p, a)) is not None:
+                        gen = next_gen
                     cases += 1
                     try:
                         validate_params(p, a, b, *gen, q)
@@ -911,17 +911,20 @@ def test_joint_mul_signed_digits_match_the_plain_loop(which, production_curve):
     seeded = random.Random(8303)
     P, Q = (c.mul(seeded.randrange(2, c.q), c.gen) for _ in range(2))
     scalars = _carry_scalars(bits)
+    cases = []
+    for k, l in zip(scalars, reversed(scalars)):
+        kP = c.mul(k + c.q, P)
+        cases.append((k, l, kP, c.add(kP, c.mul(-l - c.q, Q))))
     for w in (2, 3, group._GLV_WIDTH):
         if w == 2:
             tables = [[(P.x, P.y)], [(Q.x, Q.y)]]
         else:
             tables = [group._odd_multiples(u.x, u.y, w, c.a, c.p) for u in (P, Q)]
-        for k, l in zip(scalars, reversed(scalars)):
+        for k, l, one_expected, two_expected in cases:
             one = group._joint_mul([(k, tables[0])], w, c.a, c.p)
-            assert _affine(c, one) == c.mul(k + c.q, P), (w, hex(k))
+            assert _affine(c, one) == one_expected, (w, hex(k))
             two = group._joint_mul([(k, tables[0]), (-l, tables[1])], w, c.a, c.p)
-            expected = c.add(c.mul(k + c.q, P), c.mul(-l - c.q, Q))
-            assert _affine(c, two) == expected, (w, hex(k), hex(l))
+            assert _affine(c, two) == two_expected, (w, hex(k), hex(l))
 
 
 def test_odd_multiples_match_the_plain_loop(production_curve):

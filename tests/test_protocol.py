@@ -70,11 +70,6 @@ class TestBuildAndVerify:
         assert verified.peer_id == SERVER_ID
         assert verified.Y == msg.Y
 
-    def test_same_seed_byte_identical(self):
-        _, msg_a, _ = seeded_message(2, Variant.FIXED)
-        _, msg_b, _ = seeded_message(2, Variant.FIXED)
-        assert encode_message(TOY_CURVE, msg_a) == encode_message(TOY_CURVE, msg_b)
-
     def test_ephemeral_point_always_valid(self):
         rng, _, [keys] = _extracted(1, TOY_CURVE, SERVER_ID)
         for _ in range(1000):

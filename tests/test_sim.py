@@ -11,13 +11,11 @@ from ibaka.protocol import (
     StaleTimestamp,
     decode_message,
     encode_message,
-    verify_message,
 )
 from ibaka.sim import (
     Adversary,
     AttackKind,
     AttackReport,
-    CLIENT_ID,
     FieldOutOfRange,
     LogicalClock,
     MessageOrder,
@@ -32,7 +30,7 @@ from ibaka.sim import (
     run_replay_attack,
     tamper_field,
 )
-from conftest import rejected, seeded_message
+from conftest import seeded_message
 
 REPORT_KEYS = [
     "attack", "variant", "outcome", "reason",
@@ -41,14 +39,6 @@ REPORT_KEYS = [
 
 
 class TestHonestExchange:
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("order", list(MessageOrder))
-    def test_keys_agree(self, variant, order):
-        for seed in range(1, 11):
-            result = run_honest_exchange(seed, variant, order)
-            assert result.keys_equal
-            assert len(result.server_key) == 32
-
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError, match="unknown message order"):
             run_honest_exchange(1, Variant.FLAWED, "SERVER_FIRST")
@@ -56,11 +46,6 @@ class TestHonestExchange:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
             run_honest_exchange(1, "FIXED")
-
-    def test_transcript_deterministic(self):
-        a = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
-        b = run_honest_exchange(5, Variant.FIXED, MessageOrder.PARALLEL)
-        assert a.to_json() == b.to_json()
 
     SCHEDULES = {
         MessageOrder.SERVER_FIRST: [
@@ -98,12 +83,6 @@ class TestHonestExchange:
         steps = [(e.time, e.actor, e.action) for e in result.transcript.events]
         assert steps == self.SCHEDULES[order]
         assert result.keys_equal
-
-    def test_parallel_messages_share_a_tick(self):
-        result = run_honest_exchange(1, Variant.FLAWED, MessageOrder.PARALLEL)
-        sends = [e for e in result.transcript.events if e.action == "SEND"]
-        assert len(sends) == 2
-        assert sends[0].time == sends[1].time
 
     def test_transcript_payloads_are_wire_decodable(self):
         result = run_honest_exchange(3, Variant.FIXED, MessageOrder.CLIENT_FIRST)
@@ -194,14 +173,6 @@ class TestReplayAttack:
         assert [e.action for e in mirrored.transcript.events] == actions
         assert mirrored.transcript.events[0].actor == "CLIENT"
 
-    def test_defeated_script_has_no_key_derivation(self):
-        report = run_replay_attack(7, Variant.FIXED)
-        actions = [e.action for e in report.transcript.events]
-        assert actions == [
-            "SEND", "INTERCEPT", "REWRITE_TIMESTAMP", "REPLAY",
-            "VERIFY_FAIL(BadSignature)",
-        ]
-
     def test_delay_within_window_rejected(self):
         with pytest.raises(ValueError):
             run_replay_attack(7, Variant.FLAWED, delay=5, window=10)
@@ -257,7 +228,6 @@ class TestAdversaryObject:
         assert adversary.compute_session_key(original, response, y + 1) != victim_key
 
     def test_rewrite_requires_the_trailing_field_shape(self):
-        from ibaka.protocol import MalformedMessage
         with pytest.raises(MalformedMessage):
             Adversary.rewrite_timestamp(b"\x01\x02\x03", 5)
         # Well framed, but the final field has 7 bytes, not 8.
@@ -283,12 +253,6 @@ class TestAttackReportSerialization:
             assert list(event) == ["time", "actor", "action", "payload_hex"]
             bytes.fromhex(event["payload_hex"])
 
-    def test_reports_are_deterministic(self):
-        for runner in (run_replay_attack, run_ephemeral_compromise_attack):
-            a = runner(11, Variant.FIXED)
-            b = runner(11, Variant.FIXED)
-            assert a.to_json() == b.to_json()
-
     def test_keys_match_is_derived_from_the_keys(self):
         def report(attacker_key, victim_key):
             return AttackReport(
@@ -307,32 +271,6 @@ class TestAttackReportSerialization:
 
 
 class TestTamperField:
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_mu_mutation_rejected(self, variant):
-        master, msg, _ = seeded_message(21, variant)
-        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.MU, 0, 0x01)
-        assert rejected(mutated, master, variant, now=100)
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_sender_mutation_rejected(self, variant):
-        master, msg, _ = seeded_message(21, variant)
-        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.SENDER_ID, 0, 0x04)
-        assert rejected(mutated, master, variant, now=100)
-
-    def test_timestamp_mutation_accepted_under_flawed_when_fresh(self):
-        master, msg, _ = seeded_message(21, Variant.FLAWED)
-        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.T, 7, 0x0F)
-        msg = decode_message(TOY_CURVE, mutated)
-        verified = verify_message(
-            TOY_CURVE, msg, CLIENT_ID, master.public, msg.t, 10, Variant.FLAWED
-        )
-        assert verified.peer_id == SERVER_ID
-
-    def test_timestamp_mutation_rejected_under_fixed(self):
-        master, msg, _ = seeded_message(21, Variant.FIXED)
-        mutated = tamper_field(encode_message(TOY_CURVE, msg), TamperField.T, 7, 0x0F)
-        assert rejected(mutated, master, Variant.FIXED, now=int.from_bytes(mutated[-8:], "big"))
-
     def test_byte_index_out_of_range(self):
         wire = encode_message(TOY_CURVE, seeded_message(21, Variant.FLAWED)[1])
         with pytest.raises(FieldOutOfRange):
