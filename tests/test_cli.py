@@ -135,22 +135,39 @@ class TestSelftest:
 
 
 class TestKeygen:
+    def test_key_file_fields(self, capsys):
+        # A header line, then the four fields in this order.
+        code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "sensor-7")
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header.startswith("# extracted identity key")
+        assert [line.split(" = ")[0] for line in lines] == ["id", "s", "rx", "ry"]
+
     @pytest.mark.parametrize("curve_arg", ["TOY", str(SECP256K1_FILE)], ids=["TOY", "secp256k1"])
-    def test_prints_the_seeded_draw(self, capsys, curve_arg):
-        """keygen prints, under its header, the seeded set-up's draw for --id
-        alone; for server-1 that is the simulator's server key."""
+    def test_fields_are_the_library_draws(self, capsys, curve_arg):
+        # keygen's key is the seeded set-up's draw for --id alone.
+        code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "sensor-7",
+                           "--curve", curve_arg)
+        assert code == 0
         curve = TOY_CURVE if curve_arg == "TOY" else load_curve_file(curve_arg)
-        for identity in ("sensor-7", "server-1"):
-            code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", identity,
-                               "--curve", curve_arg)
-            _, _, [keys] = sim._extracted(5, curve, identity)
-            header, *fields = out.splitlines()
-            assert (code, header.startswith("# extracted identity key")) == (0, True)
-            assert fields == [
-                f"id = {identity}", f"s = {keys.secret}", f"rx = {keys.R.x}", f"ry = {keys.R.y}",
-            ]
-        # The last draw, server-1's, is the simulator's server key.
-        assert keys == sim._setup(5, Variant.FIXED, DEFAULT_WINDOW, curve)[1].keys
+        _, _, [keys] = sim._extracted(5, curve, "sensor-7")
+        fields = dict(l.split(" = ") for l in out.splitlines() if not l.startswith("#"))
+        assert fields == {
+            "id": "sensor-7", "s": str(keys.secret), "rx": str(keys.R.x), "ry": str(keys.R.y),
+        }
+
+    @pytest.mark.parametrize("curve_arg", ["TOY", str(SECP256K1_FILE)], ids=["TOY", "secp256k1"])
+    def test_keys_are_the_simulators_server_keys(self, capsys, curve_arg):
+        # keygen and the simulator share one seeded set-up, server key first.
+        code, out, _ = run(capsys, "keygen", "--seed", "5", "--id", "server-1",
+                           "--curve", curve_arg)
+        assert code == 0
+        curve = TOY_CURVE if curve_arg == "TOY" else load_curve_file(curve_arg)
+        keys = sim._setup(5, Variant.FIXED, DEFAULT_WINDOW, curve)[1].keys
+        fields = dict(l.split(" = ") for l in out.splitlines() if not l.startswith("#"))
+        assert fields == {
+            "id": "server-1", "s": str(keys.secret), "rx": str(keys.R.x), "ry": str(keys.R.y),
+        }
 
     def test_deterministic(self, capsys):
         _, a, _ = run(capsys, "keygen", "--seed", "5")
