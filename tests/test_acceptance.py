@@ -14,6 +14,8 @@ import pytest
 from ibaka.group import IDENTITY, Point, TOY_CURVE
 from ibaka.ibs import Variant, digest_to_scalar, h1_scalar, sign, verify_signature
 from ibaka.protocol import (
+    DEFAULT_WINDOW,
+    BadSignature,
     MalformedMessage,
     _field_spans,
     decode_message,
@@ -123,12 +125,27 @@ def _field_length(wire, field):
     return end - start
 
 
+def _substitutes(msg):
+    """Well-formed messages that differ from msg in one signed field: the
+    sender, Y, R or mu.  Byte tampers of these fields mostly end in the codec;
+    the substitutes decode, so only the signature can reject them.  2*u, not
+    u + gen, since u + gen can be the identity."""
+    sig = msg.sig
+    return [
+        msg._replace(sender_id="server-2"),
+        msg._replace(Y=TOY_CURVE.mul(2, msg.Y)),
+        msg._replace(sig=sig._replace(R=TOY_CURVE.mul(2, sig.R))),
+        msg._replace(sig=sig._replace(mu=(sig.mu + 1) % TOY_CURVE.q)),
+    ]
+
+
 def test_criterion_6_binding_tamper_suite():
     bound_fields = (
         TamperField.SENDER_ID, TamperField.Y, TamperField.H,
         TamperField.MU, TamperField.R,
     )
-    with criterion(6, "200 messages per variant: bound fields reject, t free only when FLAWED"):
+    with criterion(6, "200 messages per variant: tampered or substituted bound fields "
+                      "reject, t free only when FLAWED"):
         for variant in Variant:
             for seed in range(1, 201):
                 master, msg, _ = seeded_message(seed, variant)
@@ -140,6 +157,14 @@ def test_criterion_6_binding_tamper_suite():
                     assert rejected(mutated, master, variant, now=100), (
                         variant, seed, field,
                     )
+
+                for substitute in _substitutes(msg):
+                    decoded = decode_message(TOY_CURVE, encode_message(TOY_CURVE, substitute))
+                    with pytest.raises(BadSignature):
+                        verify_message(
+                            TOY_CURVE, decoded, CLIENT_ID, master.public,
+                            100, DEFAULT_WINDOW, variant,
+                        )
 
                 index, mask = _mutation_for(seed, 8)
                 moved = tamper_field(wire, TamperField.T, index, mask)

@@ -20,7 +20,6 @@ from ibaka.group import (
     MalformedParameterFile,
     NonPrimeModulus,
     Point,
-    PointNotOnCurve,
     SingularCurve,
     TOY_CURVE,
     WrongOrder,
@@ -87,12 +86,6 @@ def curve_points(c):
 
 ORACLE = oracle_points()
 TOY_POINTS = [as_point(t) for t in ORACLE]
-
-
-def test_toy_curve_has_19_points():
-    assert len(ORACLE) == 19
-    multiples = [TOY_CURVE.mul(k, TOY_CURVE.gen) for k in range(19)]
-    assert sorted(TOY_POINTS, key=repr) == sorted(multiples, key=repr)
 
 
 def test_mod_inverse_matches_pow():
@@ -168,10 +161,6 @@ def test_point_rejects_half_identity():
 
 
 class TestValidateParams:
-    def test_toy_parameters_accept(self):
-        curve = validate_params(17, 2, 2, 5, 1, 19)
-        assert curve == TOY_CURVE
-
     def test_coefficients_reduced_mod_p(self):
         assert validate_params(17, 2 - 17, 2 + 34, 5, 1, 19) == TOY_CURVE
 
@@ -184,10 +173,6 @@ class TestValidateParams:
     def test_order_below_2_rejected(self, q):
         with pytest.raises(WrongOrder, match=f"group order {q} is not prime"):
             validate_params(17, 2, 2, 5, 1, q)
-
-    def test_wrong_order_rejected(self):
-        with pytest.raises(WrongOrder):
-            validate_params(17, 2, 2, 5, 1, 17)
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(NonPrimeModulus):
@@ -218,31 +203,14 @@ class TestValidateParams:
 
 
 class TestPointAdd:
-    def test_identity_element(self):
-        assert TOY_CURVE.add(TOY_CURVE.gen, IDENTITY) == TOY_CURVE.gen
-        assert TOY_CURVE.add(IDENTITY, IDENTITY) == IDENTITY
-
-    def test_inverse_element(self):
-        neg = TOY_CURVE.negate(TOY_CURVE.gen)
-        assert TOY_CURVE.add(TOY_CURVE.gen, neg) == IDENTITY
-
     def test_generator_doubling(self):
         assert TOY_CURVE.add(TOY_CURVE.gen, TOY_CURVE.gen) == Point(6, 3)
-
-    def test_off_curve_input_rejected(self):
-        with pytest.raises(PointNotOnCurve):
-            TOY_CURVE.add(Point(0, 0), TOY_CURVE.gen)
 
     def test_matches_oracle_on_all_pairs(self):
         for u in ORACLE:
             for v in ORACLE:
                 expected = as_point(oracle_add(u, v))
                 assert TOY_CURVE.add(as_point(u), as_point(v)) == expected
-
-    def test_commutative_exhaustive(self):
-        for u in TOY_POINTS:
-            for v in TOY_POINTS:
-                assert TOY_CURVE.add(u, v) == TOY_CURVE.add(v, u)
 
     def test_associative_exhaustive(self):
         for u in TOY_POINTS:
@@ -252,37 +220,7 @@ class TestPointAdd:
                     assert TOY_CURVE.add(uv, w) == TOY_CURVE.add(u, TOY_CURVE.add(v, w))
 
 
-class TestScalarMul:
-    def test_zero_scalar(self):
-        assert TOY_CURVE.mul(0, TOY_CURVE.gen) == IDENTITY
-
-    def test_unit_scalar(self):
-        assert TOY_CURVE.mul(1, TOY_CURVE.gen) == TOY_CURVE.gen
-
-    def test_order_annihilates_generator(self):
-        assert TOY_CURVE.mul(19, TOY_CURVE.gen) == IDENTITY
-
-    def test_generator_doubling(self):
-        assert TOY_CURVE.mul(2, TOY_CURVE.gen) == Point(6, 3)
-
-    def test_order_minus_one_negates(self):
-        expected = TOY_CURVE.negate(TOY_CURVE.gen)
-        assert TOY_CURVE.mul(TOY_CURVE.q - 1, TOY_CURVE.gen) == expected
-
-    def test_negative_scalar(self):
-        assert TOY_CURVE.mul(-1, TOY_CURVE.gen) == TOY_CURVE.negate(TOY_CURVE.gen)
-
-
 class TestIsOnCurve:
-    def test_identity_by_convention(self):
-        assert TOY_CURVE.is_on_curve(IDENTITY)
-
-    def test_generator(self):
-        assert TOY_CURVE.is_on_curve(Point(5, 1))
-
-    def test_origin_is_off_curve(self):
-        assert not TOY_CURVE.is_on_curve(Point(0, 0))
-
     def test_out_of_field_coordinates(self):
         assert not TOY_CURVE.is_on_curve(Point(5, 18))
 
@@ -294,10 +232,6 @@ class TestPointCodec:
 
     def test_generator_encoding(self):
         assert TOY_CURVE.encode_point(Point(5, 1)) == bytes([0x04, 0x05, 0x01])
-
-    def test_round_trip_every_point(self):
-        for u in TOY_POINTS:
-            assert TOY_CURVE.decode_point(TOY_CURVE.encode_point(u)) == u
 
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedEncoding):
@@ -312,10 +246,6 @@ class TestPointCodec:
     def test_coordinate_beyond_modulus_rejected(self):
         with pytest.raises(MalformedEncoding):
             TOY_CURVE.decode_point(bytes([0x04, 0x12, 0x01]))
-
-    def test_off_curve_point_rejected(self):
-        with pytest.raises(PointNotOnCurve):
-            TOY_CURVE.decode_point(bytes([0x04, 0x00, 0x00]))
 
 
 # TOY_FILE without its comment, as raw bytes: q is on line 6.
@@ -382,10 +312,6 @@ class TestCurveFile:
 class TestLargeCurvePath:
     """A 256-bit field modulus: spot checks only."""
 
-    def test_production_scale_curve_accepts(self, production_curve):
-        assert production_curve.p.bit_length() == 256
-        assert production_curve.mul(production_curve.q, production_curve.gen) == IDENTITY
-
     def test_wrong_large_order_rejected(self, production_curve):
         c = production_curve
         # c.p is prime but is not the group order.
@@ -413,13 +339,6 @@ class TestLargeCurvePath:
             WrongOrder, match="group order 318665857834031151167461 is not prime"
         ):
             parse_curve_params(text)
-
-    def test_scalar_round_trip(self, production_curve):
-        c = production_curve
-        point = c.mul(2 ** 130 + 3, c.gen)
-        assert c.is_on_curve(point)
-        assert c.decode_point(c.encode_point(point)) == point
-
 
 def test_cofactor_curve_rejected_by_hasse_bound():
     # y^2 = x^3 + 1 over F_23 has 24 points; (0, 1) has order 3, cofactor 8.
@@ -528,20 +447,6 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
-
-
-def test_secp256k1_mul_inverts_once_and_never_adds(production_curve, monkeypatch):
-    c = production_curve
-    # A first k*G builds the generator table, so the count holds in any test
-    # order.
-    c.mul(1, c.gen)
-    inversions = count_calls(monkeypatch, group, "mod_inverse")
-    adds = count_calls(monkeypatch, Curve, "add")
-    k = c.q - 1
-    assert k.bit_length() == 256
-    assert c.mul(k, c.gen) == c.negate(c.gen)
-    assert len(inversions) == 1
-    assert adds == []
 
 
 def test_toy_exchange_operation_counts(monkeypatch):

