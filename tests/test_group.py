@@ -20,6 +20,7 @@ from ibaka.group import (
     MalformedParameterFile,
     NonPrimeModulus,
     Point,
+    PointNotOnCurve,
     SingularCurve,
     TOY_CURVE,
     WrongOrder,
@@ -86,6 +87,12 @@ def curve_points(c):
 
 ORACLE = oracle_points()
 TOY_POINTS = [as_point(t) for t in ORACLE]
+
+
+def test_toy_curve_has_19_points():
+    assert len(ORACLE) == 19
+    multiples = [TOY_CURVE.mul(k, TOY_CURVE.gen) for k in range(19)]
+    assert sorted(TOY_POINTS, key=repr) == sorted(multiples, key=repr)
 
 
 def test_mod_inverse_matches_pow():
@@ -203,14 +210,31 @@ class TestValidateParams:
 
 
 class TestPointAdd:
+    def test_identity_element(self):
+        assert TOY_CURVE.add(TOY_CURVE.gen, IDENTITY) == TOY_CURVE.gen
+        assert TOY_CURVE.add(IDENTITY, IDENTITY) == IDENTITY
+
+    def test_inverse_element(self):
+        neg = TOY_CURVE.negate(TOY_CURVE.gen)
+        assert TOY_CURVE.add(TOY_CURVE.gen, neg) == IDENTITY
+
     def test_generator_doubling(self):
         assert TOY_CURVE.add(TOY_CURVE.gen, TOY_CURVE.gen) == Point(6, 3)
+
+    def test_off_curve_input_rejected(self):
+        with pytest.raises(PointNotOnCurve):
+            TOY_CURVE.add(Point(0, 0), TOY_CURVE.gen)
 
     def test_matches_oracle_on_all_pairs(self):
         for u in ORACLE:
             for v in ORACLE:
                 expected = as_point(oracle_add(u, v))
                 assert TOY_CURVE.add(as_point(u), as_point(v)) == expected
+
+    def test_commutative_exhaustive(self):
+        for u in TOY_POINTS:
+            for v in TOY_POINTS:
+                assert TOY_CURVE.add(u, v) == TOY_CURVE.add(v, u)
 
     def test_associative_exhaustive(self):
         for u in TOY_POINTS:
@@ -220,7 +244,37 @@ class TestPointAdd:
                     assert TOY_CURVE.add(uv, w) == TOY_CURVE.add(u, TOY_CURVE.add(v, w))
 
 
+class TestScalarMul:
+    def test_zero_scalar(self):
+        assert TOY_CURVE.mul(0, TOY_CURVE.gen) == IDENTITY
+
+    def test_unit_scalar(self):
+        assert TOY_CURVE.mul(1, TOY_CURVE.gen) == TOY_CURVE.gen
+
+    def test_order_annihilates_generator(self):
+        assert TOY_CURVE.mul(19, TOY_CURVE.gen) == IDENTITY
+
+    def test_generator_doubling(self):
+        assert TOY_CURVE.mul(2, TOY_CURVE.gen) == Point(6, 3)
+
+    def test_order_minus_one_negates(self):
+        expected = TOY_CURVE.negate(TOY_CURVE.gen)
+        assert TOY_CURVE.mul(TOY_CURVE.q - 1, TOY_CURVE.gen) == expected
+
+    def test_negative_scalar(self):
+        assert TOY_CURVE.mul(-1, TOY_CURVE.gen) == TOY_CURVE.negate(TOY_CURVE.gen)
+
+
 class TestIsOnCurve:
+    def test_identity_by_convention(self):
+        assert TOY_CURVE.is_on_curve(IDENTITY)
+
+    def test_generator(self):
+        assert TOY_CURVE.is_on_curve(Point(5, 1))
+
+    def test_origin_is_off_curve(self):
+        assert not TOY_CURVE.is_on_curve(Point(0, 0))
+
     def test_out_of_field_coordinates(self):
         assert not TOY_CURVE.is_on_curve(Point(5, 18))
 
