@@ -4,12 +4,18 @@ Every run is deterministic: the same argument vector produces byte-identical
 output.  Exit status 0 on success (and a matching --expect), 1 when an
 --expect does not match or a selftest check fails, 2 on usage or
 configuration errors.
+
+`main(argv)` may be called many times in one process, as the tests and the
+benchmark's cli-toy workload do: the first call builds the argument parser and
+later calls reuse it; a one-shot `ibaka` builds it once, as before.
+`build_parser()` still returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import accumulate
 
 from .group import Curve, IDENTITY, TOY_CURVE, _decimal, load_curve_file, validate_params
@@ -264,10 +270,15 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on its first call (not at import) and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

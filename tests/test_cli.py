@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from ibaka import cli
 from ibaka.cli import main
 from ibaka.group import TOY_CURVE, load_curve_file
 from ibaka.ibs import Variant
@@ -290,3 +296,71 @@ class TestUsageErrors:
         path = tmp_path / "report.json"
         assert run(capsys, "demo", "--window", "0", "--output", str(path))[0] == 2
         assert not path.exists()
+
+
+# Usage errors, help at the top level and for each command, an --expect
+# mismatch, a configuration error and one successful run of each command,
+# with the exit status each must give.
+PARSER_CASES = [
+    (2, ["bogus"]), (2, ["demo", "--variant", "patched"]), (2, ["demo", "--seed", "0x10"]),
+    (2, ["attack"]),
+    (0, ["--help"]), (0, ["demo", "--help"]), (0, ["attack", "--help"]), (0, ["keygen", "--help"]),
+    (1, ["attack", "replay", "--variant", "fixed", "--seed", "7", "--expect", "succeeded"]),
+    (2, ["demo", "--window", "0"]),
+    (0, ["demo"]), (0, ["attack", "ephemeral", "--variant", "fixed", "--expect", "defeated"]),
+    (0, ["selftest"]), (0, ["keygen", "--seed", "5"]),
+]
+
+IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ibaka.cli
+print(ibaka.cli._parser.cache_info().currsize)
+"""
+
+
+class TestParserReuse:
+    """`main` builds its parser on the first call and reuses it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The calls of `build_parser`, counted from an empty cache; the cache
+        is emptied again afterwards, so no later test reuses the counted parser."""
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_one_build_per_process(self, capsys, builds):
+        argvs = [["demo"], ["attack", "replay"], ["attack", "ephemeral"], ["keygen"], ["bogus"]]
+        assert [run(capsys, *argv)[0] for argv in argvs] == [0, 0, 0, 0, 2]
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", IMPORT_SCRIPT, src],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+    def test_reuse_changes_no_byte(self, capsys, monkeypatch):
+        """Exit status, stdout and stderr through a new parser per call equal
+        those through the reused one, in either order.  The selftest runs its
+        first check only: the command's parsing is what is under test."""
+        checks = cli._selftest_checks
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks()[:1])
+        with monkeypatch.context() as fresh_per_call:
+            fresh_per_call.setattr(cli, "_parser", cli.build_parser)
+            fresh = [run(capsys, *argv) for _, argv in PARSER_CASES]
+        assert [code for code, _, _ in fresh] == [code for code, _ in PARSER_CASES]
+        assert all(out.startswith("usage: ibaka") for _, out, _ in fresh[4:8])
+        # Build the reused parser under other streams: it must print to the
+        # streams of each call, not to those of its first call.
+        cli._parser.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli._parser()
+        assert [run(capsys, *argv) for _, argv in PARSER_CASES] == fresh
+        assert [run(capsys, *argv) for _, argv in reversed(PARSER_CASES)] == fresh[::-1]
