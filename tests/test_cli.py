@@ -11,7 +11,7 @@ from ibaka import cli
 from ibaka.cli import main
 from ibaka.group import TOY_CURVE, load_curve_file
 from ibaka.ibs import Variant
-from ibaka.protocol import DEFAULT_WINDOW
+from ibaka.protocol import DEFAULT_WINDOW, BadSignature
 from ibaka import sim
 from ibaka.sim import ATTACK_TABLE
 from conftest import SECP256K1_FILE, TOY_FILE
@@ -86,6 +86,19 @@ class TestAttack:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("kind", ["replay", "ephemeral"])
+    def test_delay_at_the_edge_of_the_tick_range(self, capsys, tmp_path, kind):
+        """The clock starts at tick 100: a delay of 2^64 - 101 puts the last
+        event on tick 2^64 - 1, and one tick more is a configuration error."""
+        code, out, _ = run(capsys, "attack", kind, "--delay", str((1 << 64) - 101))
+        assert code == 0
+        assert json.loads(out)["events"][-1]["time"] == (1 << 64) - 1
+        path = tmp_path / "report.json"
+        argv = ["attack", kind, "--delay", str((1 << 64) - 100), "--output", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: timestamp ticks outside unsigned 64-bit range\n")
+        assert not path.exists()
+
 
 class TestDeterminismAndOutput:
     def test_same_argv_same_bytes(self, capsys):
@@ -138,6 +151,25 @@ class TestSelftest:
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {check}"]
         assert out.endswith("selftest: 7/8 passed\n")
+
+    def test_a_check_that_raises_fails_and_the_report_is_written(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A check that raises is a FAIL with its error on stderr; the other
+        checks still run, and the report is written."""
+        def raises(*args, **kwargs):
+            raise BadSignature("signature by 'server-1' does not verify")
+
+        monkeypatch.setattr(cli, "run_honest_exchange", raises)
+        path = tmp_path / "selftest.txt"
+        code, out, err = run(capsys, "selftest", "--output", str(path))
+        assert (code, out) == (1, "")
+        report = path.read_text(encoding="utf-8")
+        assert [line for line in report.splitlines() if line.startswith("FAIL")] == [
+            "FAIL honest-exchanges"
+        ]
+        assert report.endswith("selftest: 7/8 passed\n")
+        assert err == "honest-exchanges: BadSignature: signature by 'server-1' does not verify\n"
 
 
 class TestKeygen:
@@ -290,9 +322,7 @@ class TestUsageErrors:
     def test_zero_window_demo_is_config_error(self, capsys, tmp_path):
         """Each delivery takes one tick, so window 0 makes the honest peer
         reject a stale message: a configuration error, not a traceback."""
-        code, out, err = run(capsys, "demo", "--window", "0")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert run(capsys, "demo", "--window", "0") == (2, "", "error: t=100 older than 101-0\n")
         path = tmp_path / "report.json"
         assert run(capsys, "demo", "--window", "0", "--output", str(path))[0] == 2
         assert not path.exists()
@@ -315,28 +345,19 @@ IMPORT_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import ibaka.cli
-print(ibaka.cli._parser.cache_info().currsize)
+print(ibaka.cli.build_parser.cache_info().currsize)
 """
 
 
 class TestParserReuse:
-    """`main` builds its parser on the first call and reuses it."""
+    """`build_parser` builds the parser on its first call, and `main` reuses it."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The calls of `build_parser`, counted from an empty cache; the cache
-        is emptied again afterwards, so no later test reuses the counted parser."""
-        calls = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-        cli._parser.cache_clear()
-        yield calls
-        cli._parser.cache_clear()
-
-    def test_one_build_per_process(self, capsys, builds):
+    def test_one_build_per_process(self, capsys):
+        cli.build_parser.cache_clear()
         argvs = [["demo"], ["attack", "replay"], ["attack", "ephemeral"], ["keygen"], ["bogus"]]
         assert [run(capsys, *argv)[0] for argv in argvs] == [0, 0, 0, 0, 2]
-        assert len(builds) == 1
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
 
     def test_import_builds_no_parser(self):
         src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
@@ -353,14 +374,14 @@ class TestParserReuse:
         checks = cli._selftest_checks
         monkeypatch.setattr(cli, "_selftest_checks", lambda: checks()[:1])
         with monkeypatch.context() as fresh_per_call:
-            fresh_per_call.setattr(cli, "_parser", cli.build_parser)
+            fresh_per_call.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             fresh = [run(capsys, *argv) for _, argv in PARSER_CASES]
         assert [code for code, _, _ in fresh] == [code for code, _ in PARSER_CASES]
         assert all(out.startswith("usage: ibaka") for _, out, _ in fresh[4:8])
         # Build the reused parser under other streams: it must print to the
         # streams of each call, not to those of its first call.
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            cli._parser()
+            cli.build_parser()
         assert [run(capsys, *argv) for _, argv in PARSER_CASES] == fresh
         assert [run(capsys, *argv) for _, argv in reversed(PARSER_CASES)] == fresh[::-1]
