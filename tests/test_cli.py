@@ -9,9 +9,9 @@ import pytest
 
 from ibaka import cli
 from ibaka.cli import main
-from ibaka.group import TOY_CURVE, load_curve_file
+from ibaka.group import IDENTITY, TOY_CURVE, Curve, load_curve_file
 from ibaka.ibs import Variant
-from ibaka.protocol import DEFAULT_WINDOW, BadSignature
+from ibaka.protocol import DEFAULT_WINDOW, BadSignature, MalformedMessage
 from ibaka import sim
 from ibaka.sim import ATTACK_TABLE
 from conftest import SECP256K1_FILE, TOY_FILE
@@ -151,6 +151,37 @@ class TestSelftest:
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {check}"]
         assert out.endswith("selftest: 7/8 passed\n")
+
+    @pytest.mark.parametrize("check", [
+        "group-laws", "scalar-mul-oracle", "point-codec", "signature-round-trip", "message-codec",
+    ])
+    def test_a_broken_invariant_fails_its_check(self, capsys, monkeypatch, check):
+        """Each check catches the fault its invariant names.  A wrong `negate`
+        breaks signatures too, so only this check's FAIL line is required."""
+        mul, decode_point, decode_message = Curve.mul, Curve.decode_point, cli.decode_message
+
+        def accepts_truncated(curve, wire):
+            try:
+                return decode_message(curve, wire)
+            except MalformedMessage:
+                return None
+
+        breaks = {
+            # x + (-x) = 0 is the only group law that reads `negate`.
+            "group-laws": (Curve, "negate", lambda self, u: u),
+            # (q + 1)*u = u on the double-and-add path.
+            "scalar-mul-oracle": (Curve, "mul", lambda self, k, u:
+                                  IDENTITY if k == self.q + 1 else mul(self, k, u)),
+            # The identity's encoding read as the generator.
+            "point-codec": (Curve, "decode_point", lambda self, data:
+                            self.gen if data == b"\x00" else decode_point(self, data)),
+            "signature-round-trip": (cli, "verify_signature", lambda *args: False),
+            "message-codec": (cli, "decode_message", accepts_truncated),
+        }
+        monkeypatch.setattr(*breaks[check])
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert f"FAIL {check}" in out.splitlines()
 
     def test_a_check_that_raises_fails_and_the_report_is_written(
         self, capsys, monkeypatch, tmp_path
