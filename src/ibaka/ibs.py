@@ -4,7 +4,7 @@ A private key generator (PKG) holds a master scalar and derives each
 entity's long-term key pair from its text identity.  Signatures are triples
 (h, mu, R): h a 256-bit digest, mu a scalar, R the signer's long-term public
 key.  Verification recovers the signer's ephemeral commitment X from (mu, h,
-R) and recomputes the digest.
+R) in ``_recovered_commitment``, its one statement, and recomputes the digest.
 
 Two protocol variants share this code.  FLAWED hashes (sender, recipient, Y,
 R, X) only, leaving the message timestamp outside the signature; FIXED
@@ -155,6 +155,14 @@ def sign(
     return Signature(h, mu, keys.R), X
 
 
+def _recovered_commitment(curve, sig, sender, master_public):
+    """X' = mu*gen - h*(R + c*master_public), X for a valid signature; mul takes -h mod q."""
+    c = h1_scalar(curve, sender, sig.R)
+    checkpoint = curve.add(sig.R, curve.mul(c, master_public))
+    minus_h = -digest_to_scalar(sig.h, curve.q) % curve.q
+    return curve.add(curve.mul(sig.mu, curve.gen), curve.mul(minus_h, checkpoint))
+
+
 def verify_signature(
     curve: Curve,
     sig: Signature,
@@ -165,7 +173,7 @@ def verify_signature(
     master_public: Point,
     variant: Variant,
 ) -> bool:
-    """Recover X' = mu*gen - h*(R + c*master_public) and compare digests.
+    """Recover X' (stated once, in ``_recovered_commitment``); compare digests.
 
     Comparison is over the full 256-bit digest, so tampering is caught even
     though scalars live in a tiny group.  A `variant` that is not a Variant
@@ -177,12 +185,6 @@ def verify_signature(
         return False
     if not (curve.is_on_curve(sig.R) and curve.is_on_curve(Y)):
         return False
-    c = h1_scalar(curve, sender, sig.R)
-    h_q = digest_to_scalar(sig.h, curve.q)
-    checkpoint = curve.add(sig.R, curve.mul(c, master_public))
-    recovered = curve.add(
-        curve.mul(sig.mu, curve.gen),
-        curve.negate(curve.mul(h_q, checkpoint)),
-    )
+    recovered = _recovered_commitment(curve, sig, sender, master_public)
     expected = _h2_digest(curve, sender, recipient, Y, sig.R, recovered, ticks, variant)
     return expected == sig.h

@@ -156,8 +156,7 @@ class TestSelftest:
         "group-laws", "scalar-mul-oracle", "point-codec", "signature-round-trip", "message-codec",
     ])
     def test_a_broken_invariant_fails_its_check(self, capsys, monkeypatch, check):
-        """Each check catches the fault its invariant names.  A wrong `negate`
-        breaks signatures too, so only this check's FAIL line is required."""
+        """Each check catches the fault its invariant names, and only that one."""
         mul, decode_point, decode_message = Curve.mul, Curve.decode_point, cli.decode_message
 
         def accepts_truncated(curve, wire):
@@ -181,7 +180,8 @@ class TestSelftest:
         monkeypatch.setattr(*breaks[check])
         code, out, _ = run(capsys, "selftest")
         assert code == 1
-        assert f"FAIL {check}" in out.splitlines()
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {check}"]
+        assert out.endswith("selftest: 7/8 passed\n")
 
     def test_a_check_that_raises_fails_and_the_report_is_written(
         self, capsys, monkeypatch, tmp_path

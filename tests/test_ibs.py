@@ -8,6 +8,7 @@ from ibaka.ibs import (
     InvalidIdentity,
     Signature,
     Variant,
+    _recovered_commitment,
     digest_to_scalar,
     extract_key,
     h1_scalar,
@@ -30,9 +31,9 @@ class ScalarSequence:
         return self._values.pop(0)
 
 
-def make_signer(seed):
+def make_signer(seed, curve=TOY_CURVE):
     """(master, server keys, rng) from the simulator's seeded set-up."""
-    rng, master, [keys] = _extracted(seed, TOY_CURVE, SERVER_ID)
+    rng, master, [keys] = _extracted(seed, curve, SERVER_ID)
     return master, keys, rng
 
 
@@ -101,10 +102,9 @@ class TestExtractKey:
             extract_key(master, "", rng)
 
 
-def seeded_signature(seed, variant):
-    master, keys, rng = make_signer(seed)
-    y = rng.scalar(TOY_CURVE.q)
-    Y = TOY_CURVE.mul(y, TOY_CURVE.gen)
+def seeded_signature(seed, variant, curve=TOY_CURVE):
+    master, keys, rng = make_signer(seed, curve)
+    Y = curve.mul(rng.scalar(curve.q), curve.gen)
     sig, X = sign(keys, CLIENT_ID, Y, 100, variant, rng)
     return master, keys, Y, sig, X
 
@@ -140,6 +140,15 @@ class TestSignVerify:
             TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, 100, master.public, Variant.FLAWED
         )
         assert calls
+
+    @pytest.mark.parametrize("variant", Variant)
+    def test_secp256k1_recovers_the_exact_commitment(self, production_curve, variant):
+        """Criterion 2 runs on TOY; here (-h) mod q takes mul's GLV split."""
+        c = production_curve
+        for seed in (1, 2, 3):
+            master, _, Y, sig, X = seeded_signature(seed, variant, c)
+            assert verify_signature(c, sig, SERVER_ID, CLIENT_ID, Y, 100, master.public, variant)
+            assert _recovered_commitment(c, sig, SERVER_ID, master.public) == X
 
     def test_sign_rejects_unknown_variant(self):
         # A string is not a Variant; it must not sign as FLAWED.
