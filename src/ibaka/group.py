@@ -27,9 +27,9 @@ Its paths:
   of u, 3u, ..., 15u, or d*phi(u) from the table's phi images, which cost
   one multiplication each.  Each call builds its table with one inversion
   and inverts once more at the end.
-- Every other call runs plain double-and-add, with one inversion;
-  ``validate_params``' ``mul(q, gen)`` is one of them, so loading a curve
-  builds neither the table nor the split's constants.
+- Every other call runs plain double-and-add, with one inversion.  Loading
+  a curve calls no ``mul``: ``validate_params`` sums q*gen over q's NAF with
+  no inversion, as ``_endomorphism`` checks lam*gen, and builds no table.
 
 Every path takes a sign the same way: where a positive scalar or digit adds
 u = (x, y), a negative one adds (x, p - y), so ``mul`` builds no negated
@@ -479,24 +479,22 @@ class Curve(namedtuple("Curve", "p a b gx gy q")):
         paths and the generator table that the first k*gen builds.
         """
         self._require_on_curve(u)
+        if k == 0 or u.is_identity:
+            return IDENTITY
         a, p = self.a, self.p
-        if 0 < k < self.q and u.x == self.gx and u.y == self.gy:
-            rows = self._gen_table
-            if self._endomorphism:
-                beta, _, basis = self._endomorphism
-                k1, k2 = _glv_split(k, self.q, basis)
+        if 0 < k < self.q and self._endomorphism:
+            beta, _, basis = self._endomorphism
+            k1, k2 = _glv_split(k, self.q, basis)
+            if u == self.gen:
+                rows = self._gen_table
                 x, y, z = _add_table_multiple((1, 1, 0), k2, rows, a, p)
                 acc = _add_table_multiple((beta * x % p, y, z), k1, rows, a, p)
             else:
-                acc = _add_table_multiple((1, 1, 0), k, rows, a, p)
-        elif k == 0 or u.is_identity:
-            return IDENTITY
-        elif 0 < k < self.q and self._endomorphism:
-            beta, _, basis = self._endomorphism
-            k1, k2 = _glv_split(k, self.q, basis)
-            table = _odd_multiples(u.x, u.y, _GLV_WIDTH, a, p)
-            phi_table = [e and (beta * e[0] % p, e[1]) for e in table]
-            acc = _joint_mul([(k1, table), (k2, phi_table)], _GLV_WIDTH, a, p)
+                table = _odd_multiples(u.x, u.y, _GLV_WIDTH, a, p)
+                phi_table = [e and (beta * e[0] % p, e[1]) for e in table]
+                acc = _joint_mul([(k1, table), (k2, phi_table)], _GLV_WIDTH, a, p)
+        elif 0 < k < self.q and u == self.gen:
+            acc = _add_table_multiple((1, 1, 0), k, self._gen_table, a, p)
         else:
             x, y = u.x, (u.y if k > 0 else p - u.y)
             acc = (x, y, 1)
@@ -541,12 +539,12 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
 
     One rule for every field size: p > 3 and q pass the Baillie-PSW test
     of is_probable_prime, q differs from p (curves with q = p fall to
-    Smart's attack), the cofactor is 1 and q*gen is the identity.  The
-    Hasse bound #E <= p + 1 + 2*sqrt(p) proves the cofactor for every p:
-    when 2q exceeds it, q is the whole group.  It cannot prove the nine
-    cofactor-1 shapes with p <= 19 whose q is too small, so those raise
-    WrongOrder; TOY_CURVE passes.  With cofactor 1 every on-curve point lies
-    in <gen>, so decode_point's on-curve check is a complete point validation.
+    Smart's attack), the cofactor is 1 and q*gen is the identity (summed by
+    _joint_mul, with no inversion).  The Hasse bound #E <= p + 1 + 2*sqrt(p)
+    proves the cofactor for every p: when 2q exceeds it, q is the whole
+    group.  It cannot prove the nine cofactor-1 shapes with p <= 19 whose q
+    is too small, so those raise WrongOrder; TOY_CURVE passes.  Cofactor 1
+    puts every on-curve point in <gen>, so decode_point's check is complete.
     """
     if p <= 3 or not is_probable_prime(p):
         raise NonPrimeModulus(f"field modulus {p} is not an odd prime > 3")
@@ -564,7 +562,7 @@ def validate_params(p: int, a: int, b: int, gx: int, gy: int, q: int) -> Curve:
     margin = 2 * q - p - 1
     if margin <= 0 or margin * margin <= 4 * p:
         raise WrongOrder(f"order {q} is too small to prove cofactor 1")
-    if not curve.mul(q, curve.gen).is_identity:
+    if _joint_mul([(q, [(gx, gy)])], 2, a, p)[2]:
         raise WrongOrder("q * gen is not the identity")
     return curve
 

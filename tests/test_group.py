@@ -208,6 +208,12 @@ class TestValidateParams:
             with pytest.raises(WrongOrder, match="anomalous"):
                 validate_params(*params)
 
+    def test_order_check_with_a_nonzero(self):
+        # 23 is prime and 2*23 - 18 = 28 passes the Hasse margin (28^2 > 4*17),
+        # so only q*gen, summed with the slope's a*Z^4 term, rejects it.
+        with pytest.raises(WrongOrder, match=r"q \* gen"):
+            validate_params(17, 2, 2, 5, 1, 23)
+
 
 class TestPointAdd:
     def test_identity_element(self):
@@ -515,6 +521,23 @@ def test_toy_exchange_operation_counts(monkeypatch):
     assert len(adds) == 4
     assert len(inversions) == 19
     assert len(point_checks) == 33
+
+
+def test_curve_load_proves_the_order_without_mul(monkeypatch):
+    """Loading secp256k1 checks the generator once and sums q*gen over q's
+    plain NAF, with no mul and no inversion: one mixed add per non-zero
+    digit and one doubling per bit below the highest."""
+    inversions = count_calls(monkeypatch, group, "mod_inverse")
+    mixed_adds = count_calls(monkeypatch, group, "_jacobian_add_affine")
+    doubles = count_calls(monkeypatch, group, "_jacobian_double")
+    point_checks = count_calls(monkeypatch, Curve, "is_on_curve")
+    muls = count_calls(monkeypatch, Curve, "mul")
+    c = load_curve_file(SECP256K1_FILE)
+    assert "_gen_table" not in c.__dict__ and "_endomorphism" not in c.__dict__
+    assert muls == [] and inversions == [] and len(point_checks) == 1
+    digits = group._wnaf(c.q, 2)
+    assert len(mixed_adds) == len(digits) == 43
+    assert len(doubles) == digits[-1][0] == 256
 
 
 def test_generator_table_built_on_first_use_with_one_inversion_per_row(monkeypatch):
