@@ -48,7 +48,6 @@ from .protocol import (
     ProtocolMessage,
     StaleTimestamp,
     TamperField,
-    VerifiedPeer,
     build_message,
     check_freshness,
     decode_message,

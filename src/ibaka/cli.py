@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.handler(args)
     except (OSError, ValueError, ProtocolError) as exc:

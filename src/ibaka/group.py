@@ -466,7 +466,7 @@ class Curve(namedtuple("Curve", "p a b gx gy q")):
         x, y, z = _joint_mul([(lam, [(self.gx, self.gy)])], 2, 0, p)
         zz = z * z % p
         for beta in (beta, beta * beta % p):
-            if z and x == beta * self.gx * zz % p and y == self.gy * zz * z % p:
+            if x == beta * self.gx * zz % p and y == self.gy * zz * z % p:
                 return beta, lam, _glv_basis(q, lam)
         return None
 

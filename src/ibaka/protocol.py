@@ -88,8 +88,6 @@ class TamperField(Enum):
 
 ProtocolMessage = namedtuple("ProtocolMessage", "sender_id Y sig t")
 
-VerifiedPeer = namedtuple("VerifiedPeer", "peer_id Y")
-
 
 def build_message(
     keys: EntityKeyPair,
@@ -122,9 +120,9 @@ def verify_message(
     now: int,
     window: int,
     variant: Variant,
-) -> VerifiedPeer:
+) -> ProtocolMessage:
     """Freshness first, then the signature, with the verifier's own identity
-    as recipient (it is never taken from the wire).
+    as recipient (it is never taken from the wire); returns `msg` once verified.
 
     Raises StaleTimestamp, FutureTimestamp, or BadSignature; distinguishable
     so attack reports can name the defeating check.
@@ -138,7 +136,7 @@ def verify_message(
     )
     if not ok:
         raise BadSignature(f"signature by {msg.sender_id!r} does not verify")
-    return VerifiedPeer(msg.sender_id, msg.Y)
+    return msg
 
 
 def derive_session_key(

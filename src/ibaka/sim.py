@@ -23,8 +23,8 @@ from .protocol import (
     DEFAULT_WINDOW,
     MalformedMessage,
     ProtocolError,
+    ProtocolMessage,
     TamperField,
-    VerifiedPeer,
     _field_spans,
     build_message,
     decode_message,
@@ -107,8 +107,8 @@ class Party(namedtuple("Party", "role keys variant window master_public transcri
         self.transcript.record(self.role, "SEND", wire)
         return wire, y
 
-    def receive(self, wire: bytes) -> VerifiedPeer:
-        """Decode and verify, recording the verdict either way."""
+    def receive(self, wire: bytes) -> ProtocolMessage:
+        """Decode and verify, recording the verdict either way; returns the verified message."""
         try:
             verified = verify_message(
                 self.curve, decode_message(self.curve, wire), self.id, self.master_public,
@@ -121,8 +121,8 @@ class Party(namedtuple("Party", "role keys variant window master_public transcri
         self.transcript.record(self.role, "VERIFY_OK", wire)
         return verified
 
-    def derive(self, peer: VerifiedPeer, own_secret: int) -> bytes:
-        key = _session_key(self.curve, self.role, self.id, peer.peer_id, own_secret, peer.Y)
+    def derive(self, peer: ProtocolMessage, own_secret: int) -> bytes:
+        key = _session_key(self.curve, self.role, self.id, peer.sender_id, own_secret, peer.Y)
         self.transcript.record(self.role, "DERIVE_KEY", key)
         return key
 
@@ -232,15 +232,21 @@ class ExchangeResult(namedtuple(
         })
 
 
-# What every report of an attack-table row shows: whether the victim and the
-# attacker each derive a key, besides the outcome, reason and keys_match.
-Verdict = namedtuple("Verdict", "outcome reason victim_derives attacker_derives keys_match")
+# What every report of an attack-table row shows: the reason (the name of the
+# check that defeated the attack, or None), whether the victim and the attacker
+# each derive a key, and keys_match.  A report's outcome is DEFEATED exactly
+# when it has a reason.
+Verdict = namedtuple("Verdict", "reason victim_derives attacker_derives keys_match")
 
 
 class AttackReport(namedtuple(
-    "AttackReport", "attack variant outcome reason attacker_key victim_key transcript"
+    "AttackReport", "attack variant reason attacker_key victim_key transcript"
 )):
     __slots__ = ()
+
+    @property
+    def outcome(self) -> Outcome:
+        return Outcome.DEFEATED if self.reason else Outcome.SUCCEEDED
 
     @property
     def keys_match(self) -> bool:
@@ -248,7 +254,7 @@ class AttackReport(namedtuple(
 
     @property
     def verdict(self) -> Verdict:
-        return Verdict(self.outcome, self.reason, self.victim_key is not None,
+        return Verdict(self.reason, self.victim_key is not None,
                        self.attacker_key is not None, self.keys_match)
 
     def to_json(self) -> str:
@@ -352,7 +358,7 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
         reason = type(exc).__name__
     else:
         # The victim believes the session is live: it responds and derives a key.
-        response_wire, y_victim = victim.send(accepted.peer_id, rng)
+        response_wire, y_victim = victim.send(accepted.sender_id, rng)
         if compromise:
             transcript.record(ADVERSARY, "INTERCEPT", response_wire)
         victim_key = victim.derive(accepted, y_victim)
@@ -360,8 +366,7 @@ def _run_attack(kind, seed, variant, delay, window, curve, rewrite, impersonate)
             attacker_key = adversary.compute_session_key(wire, response_wire, y_sent)
             transcript.record(ADVERSARY, "DERIVE_KEY", attacker_key)
             reason = None if attacker_key == victim_key else "SessionKeyMismatch"
-    outcome = Outcome.DEFEATED if reason else Outcome.SUCCEEDED
-    return AttackReport(kind, variant, outcome, reason, attacker_key, victim_key, transcript)
+    return AttackReport(kind, variant, reason, attacker_key, victim_key, transcript)
 
 
 def run_replay_attack(
@@ -408,10 +413,10 @@ def run_ephemeral_compromise_attack(
     )
 
 
-_ACCEPTED = Verdict(Outcome.SUCCEEDED, None, True, False, False)
-_KEY_LEARNED = Verdict(Outcome.SUCCEEDED, None, True, True, True)
-_BAD_SIGNATURE = Verdict(Outcome.DEFEATED, "BadSignature", False, False, False)
-_STALE = Verdict(Outcome.DEFEATED, "StaleTimestamp", False, False, False)
+_ACCEPTED = Verdict(None, True, False, False)
+_KEY_LEARNED = Verdict(None, True, True, True)
+_BAD_SIGNATURE = Verdict("BadSignature", False, False, False)
+_STALE = Verdict("StaleTimestamp", False, False, False)
 _NO_REWRITE = {"rewrite_timestamp": False}
 
 # The attack table.  Row name -> (runner, variant, options, verdict): every

@@ -167,7 +167,7 @@ def test_criterion_6_binding_tamper_suite():
                         TOY_CURVE, decoded, CLIENT_ID, master.public,
                         new_t, 10, Variant.FLAWED,
                     )
-                    assert verified.peer_id == SERVER_ID
+                    assert verified.sender_id == SERVER_ID
                 else:
                     assert rejected(moved, master, variant, now=new_t)
 

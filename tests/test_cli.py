@@ -60,7 +60,7 @@ class TestAttack:
         assert run(capsys, *argv) == (0, runner(7, variant, **options).to_json(), "")
         for outcome in sim.Outcome:
             code, _, err = run(capsys, *argv, "--expect", outcome.name.lower())
-            matches = outcome is verdict.outcome
+            matches = (outcome is sim.Outcome.DEFEATED) == (verdict.reason is not None)
             assert (code, "mismatch" in err) == (0 if matches else 1, not matches), outcome
 
     def test_replay_fixed_expected_defeat(self, capsys):
@@ -248,6 +248,17 @@ class TestKeygen:
         code, _, _ = run(capsys, "keygen", "--seed", "5", "--output", str(path))
         assert code == 0
         assert "id = server-1" in path.read_text()
+
+    def test_written_file_is_utf8(self, capsys, tmp_path):
+        """A non-ASCII identity reaches the file as UTF-8, byte for byte as on stdout."""
+        argv = ("keygen", "--id", "sensor-é")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "key.txt"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        written = path.read_bytes()
+        assert b"\nid = sensor-\xc3\xa9\n" in written
+        assert written == out.encode("utf-8")
 
 
 class TestUsageErrors:

@@ -102,8 +102,8 @@ def exchange_lines() -> list[str]:
 
 
 def _cell(verdict: Verdict) -> str:
-    name = verdict.outcome.name + (f"({verdict.reason})" if verdict.reason else "")
-    return f"`{name}`: {KEYS_TEXT[verdict[2:]]}"
+    name = f"DEFEATED({verdict.reason})" if verdict.reason else "SUCCEEDED"
+    return f"`{name}`: {KEYS_TEXT[verdict[1:]]}"
 
 
 def readme_table() -> list[str]:

@@ -714,6 +714,19 @@ def test_mul_on_an_a0_curve_matches_repeated_addition():
         assert_mul_matches_repeated_addition(c, curve_points(c))
 
 
+def test_no_endomorphism_when_a_is_not_zero(monkeypatch):
+    """y^2 = x^3 + 4x + 1 over F_13 has 19 points, and p and q are both 1
+    (mod 3), but phi(x, y) = (beta*x, y) maps points onto the curve only
+    when a = 0: the a test alone refuses it, before any lam*gen product.
+    17 = 2 (mod 3) has no cube root of unity other than 1."""
+    c = validate_params(13, 4, 1, 0, 1, 19)
+    joint_muls = count_calls(monkeypatch, group, "_joint_mul")
+    assert c._endomorphism is None
+    assert joint_muls == []
+    assert group._cube_root_of_unity(17) is None
+    assert_mul_matches_repeated_addition(c, curve_points(c))
+
+
 # Parameters of two curves whose generator tables have two rows at w = 8.
 # y^2 = x^3 + 2x + 1 over F_239 has 257 points, and 256 = q - 1 has 9 bits.
 TWO_ROW_PLAIN = (239, 2, 1, 1, 2, 257)

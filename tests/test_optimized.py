@@ -11,7 +11,7 @@ SCRIPT = """
 import sys
 from ibaka import cli
 from ibaka.ibs import Variant
-from ibaka.sim import AttackKind, AttackReport, LogicalClock, Outcome, Transcript
+from ibaka.sim import AttackKind, AttackReport, LogicalClock, Transcript
 
 class UnequalKeys:
     keys_equal = False
@@ -20,8 +20,7 @@ cli.run_honest_exchange = lambda *args, **kwargs: UnequalKeys()
 print("optimize", sys.flags.optimize)
 print("exit", cli.main(["selftest"]))
 report = AttackReport(
-    AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, Outcome.SUCCEEDED, None,
-    None, None, Transcript(LogicalClock()),
+    AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, None, None, None, Transcript(LogicalClock()),
 )
 print("keys_match", report.keys_match)
 """

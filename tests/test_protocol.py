@@ -67,8 +67,8 @@ class TestBuildAndVerify:
         verified = verify_message(
             TOY_CURVE, msg, CLIENT_ID, master.public, 100, 10, variant
         )
-        assert verified.peer_id == SERVER_ID
-        assert verified.Y == msg.Y
+        assert verified.sender_id == SERVER_ID
+        assert verified is msg
 
     def test_ephemeral_point_always_valid(self):
         rng, _, [keys] = _extracted(1, TOY_CURVE, SERVER_ID)
@@ -95,7 +95,7 @@ class TestBuildAndVerify:
             verified = verify_message(
                 TOY_CURVE, moved, CLIENT_ID, master.public, new_t, 10, Variant.FLAWED
             )
-            assert verified.peer_id == SERVER_ID
+            assert verified.sender_id == SERVER_ID
 
     def test_fixed_rejects_rewritten_timestamp(self):
         master, msg, _ = seeded_message(11, Variant.FIXED, now=100)
@@ -278,4 +278,4 @@ class TestWireCodec:
         verified = verify_message(
             production_curve, msg, CLIENT_ID, master.public, 100, 10, Variant.FIXED
         )
-        assert verified.peer_id == SERVER_ID
+        assert verified.sender_id == SERVER_ID

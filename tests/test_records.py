@@ -11,7 +11,7 @@ import pytest
 import ibaka
 from ibaka.group import TOY_CURVE
 from ibaka.ibs import Variant, sign
-from ibaka.protocol import ProtocolMessage, VerifiedPeer
+from ibaka.protocol import ProtocolMessage
 from ibaka import sim
 
 HEAVY_MODULES = ("dataclasses", "typing", "inspect", "ast", "json")
@@ -36,7 +36,7 @@ def test_import_loads_no_heavy_module():
 
 RECORD_TYPES = (
     "Point", "Curve", "MasterKeyPair", "EntityKeyPair", "Signature", "ProtocolMessage",
-    "VerifiedPeer", "Party", "TranscriptEvent", "ExchangeResult", "AttackReport", "Verdict",
+    "Party", "TranscriptEvent", "ExchangeResult", "AttackReport", "Verdict",
 )
 
 
@@ -50,7 +50,6 @@ def _records():
     records = [
         TOY_CURVE.gen, TOY_CURVE, master, keys, sig,
         ProtocolMessage(keys.identity, TOY_CURVE.gen, sig, 100),
-        VerifiedPeer(keys.identity, TOY_CURVE.gen),
         server, exchange.transcript.events[0], exchange, attack, attack.verdict,
     ]
     return {type(record).__name__: record for record in records}

@@ -99,7 +99,7 @@ class TestPartySteps:
     def test_receive_records_verify_ok(self):
         rng, server, client = _setup(1, Variant.FIXED, 10, TOY_CURVE)
         wire, _ = server.send(client.id, rng)
-        assert client.receive(wire).peer_id == SERVER_ID
+        assert client.receive(wire).sender_id == SERVER_ID
         assert steps(client)[1:] == [(100, "CLIENT", "VERIFY_OK", wire)]
 
     @pytest.mark.parametrize("error, delay, hostile", [
@@ -190,6 +190,18 @@ class TestEphemeralCompromiseAttack:
         with pytest.raises(ValueError, match="unknown role"):
             run_ephemeral_compromise_attack(1, Variant.FIXED, impersonate="CLIENT")
 
+    def test_a_wrong_attacker_key_defeats_the_attack(self, monkeypatch):
+        """The victim accepts, but the adversary's key differs from the victim's."""
+        honest = run_ephemeral_compromise_attack(7, Variant.FLAWED)
+        wrong_key = bytes(byte ^ 0xFF for byte in honest.victim_key)
+        monkeypatch.setattr(Adversary, "compute_session_key", lambda *args: wrong_key)
+        report = run_ephemeral_compromise_attack(7, Variant.FLAWED)
+        assert (report.victim_key, report.attacker_key) == (honest.victim_key, wrong_key)
+        assert report.reason == "SessionKeyMismatch"
+        assert report.outcome is Outcome.DEFEATED
+        assert not report.keys_match
+        assert '"outcome": "DEFEATED"' in report.to_json()
+
     def test_adversary_sees_only_wire_traffic(self):
         # Every byte the adversary captured appeared on the wire as a SEND.
         report = run_ephemeral_compromise_attack(7, Variant.FLAWED)
@@ -214,7 +226,7 @@ class TestAdversaryObject:
         impersonated, victim = (server, client) if impersonate is Role.SERVER else (client, server)
         original, y = impersonated.send(victim.id, rng)
         accepted = victim.receive(original)
-        response, y_victim = victim.send(accepted.peer_id, rng)
+        response, y_victim = victim.send(accepted.sender_id, rng)
         victim_key = victim.derive(accepted, y_victim)
         adversary = Adversary(TOY_CURVE, impersonating=impersonate)
         assert adversary.compute_session_key(original, response, y) == victim_key
@@ -230,17 +242,25 @@ class TestAdversaryObject:
             Adversary.rewrite_timestamp(short_t, 5)
 
 
+def bare_report(reason, attacker_key, victim_key):
+    return AttackReport(
+        AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, reason,
+        attacker_key, victim_key, Transcript(LogicalClock()),
+    )
+
+
 class TestAttackReportSerialization:
     def test_keys_match_is_derived_from_the_keys(self):
-        def report(attacker_key, victim_key):
-            return AttackReport(
-                AttackKind.EPHEMERAL_COMPROMISE, Variant.FLAWED, Outcome.DEFEATED, None,
-                attacker_key, victim_key, Transcript(LogicalClock()),
-            )
-        assert not report(None, None).keys_match
-        assert not report(None, b"k").keys_match
-        assert report(b"k", b"k").keys_match
-        assert not report(b"k", b"j").keys_match
+        assert not bare_report(None, None, None).keys_match
+        assert not bare_report(None, None, b"k").keys_match
+        assert bare_report(None, b"k", b"k").keys_match
+        assert not bare_report(None, b"k", b"j").keys_match
+
+    def test_outcome_follows_from_the_reason(self):
+        assert bare_report(None, None, None).outcome is Outcome.SUCCEEDED
+        assert bare_report("BadSignature", None, None).outcome is Outcome.DEFEATED
+        # Keys that match do not turn a report with a reason into a success.
+        assert bare_report("SessionKeyMismatch", b"k", b"k").outcome is Outcome.DEFEATED
 
 class TestTamperField:
     def test_byte_index_out_of_range(self):
