@@ -28,12 +28,7 @@ from .protocol import (
     decode_message,
     encode_message,
 )
-from .sim import (
-    MessageOrder,
-    run_ephemeral_compromise_attack,
-    run_honest_exchange,
-    run_replay_attack,
-)
+from .sim import MessageOrder, Outcome, run_honest_exchange
 from . import sim
 
 
@@ -49,8 +44,9 @@ def _u64(text: str) -> int:
     return value
 
 
-# Every attack script, by its command-line kind.
-_ATTACKS = {"replay": run_replay_attack, "ephemeral": run_ephemeral_compromise_attack}
+# Every attack script, by its command-line kind: the part of each attack-table
+# row's name before its first `-`, in table order.
+_ATTACKS = {name.split("-")[0]: run for name, (run, *_) in sim.ATTACK_TABLE.items()}
 
 # The shared options, declared once; subcommands pick theirs by name in help
 # order.  keygen declares its own --output, whose help names a key file.
@@ -65,7 +61,7 @@ _OPTIONS = {
     "id": dict(default=sim.SERVER_ID, help="identity to extract"),
     "curve": dict(default="TOY", help="TOY or path to a curve-parameter file (default: TOY)"),
     "output": dict(default=None, help="write the report to a file"),
-    "expect": dict(choices=["succeeded", "defeated"],
+    "expect": dict(choices=[o.name.lower() for o in Outcome],
                    help="exit 1 unless the attack outcome matches"),
 }
 
@@ -122,10 +118,7 @@ def _emit(text: str, output: str | None):
 
 def _cmd_demo(args) -> int:
     curve = _resolve_curve(args.curve)
-    result = run_honest_exchange(
-        args.seed, Variant(args.variant), MessageOrder.SERVER_FIRST,
-        window=args.window, curve=curve,
-    )
+    result = run_honest_exchange(args.seed, Variant(args.variant), window=args.window, curve=curve)
     _emit(result.to_json(), args.output)
     return 0
 
@@ -165,7 +158,8 @@ def _cmd_keygen(args) -> int:
 def _selftest_checks():
     """Small deterministic versions of the library invariants, in run order;
     each returns True when its invariant holds and False at its first failing
-    case, and prints under its function's name with `_` written as `-`."""
+    case, and prints under its function's name with `_` written as `-`.  Each
+    attack kind in _ATTACKS gets one check, named `<kind>-matrix`."""
     curve = TOY_CURVE
 
     def multiples(c, u, n):
@@ -209,17 +203,14 @@ def _selftest_checks():
         return all(run_honest_exchange(seed, variant, order).keys_equal
                    for variant in Variant for order in MessageOrder for seed in range(1, 6))
 
-    def attack_rows(kind):
+    def attack_matrix(kind):
         # Every attack-table row of one command-line kind, which starts its name.
-        return all(run(s, variant, **options).verdict == verdict
-                   for name, (run, variant, options, verdict) in sim.ATTACK_TABLE.items()
-                   if name.startswith(kind + "-") for s in range(1, 6))
-
-    def replay_matrix():
-        return attack_rows("replay")
-
-    def ephemeral_matrix():
-        return attack_rows("ephemeral")
+        def check():
+            return all(run(s, variant, **options).verdict == verdict
+                       for name, (run, variant, options, verdict) in sim.ATTACK_TABLE.items()
+                       if name.startswith(kind + "-") for s in range(1, 6))
+        check.__name__ = f"{kind}-matrix"
+        return check
 
     def message_codec():
         # Each message decodes to itself, and without its last byte not at all.
@@ -237,7 +228,7 @@ def _selftest_checks():
         return True
 
     return [group_laws, scalar_mul_oracle, point_codec, signature_round_trip,
-            honest_exchanges, replay_matrix, ephemeral_matrix, message_codec]
+            honest_exchanges, *map(attack_matrix, _ATTACKS), message_codec]
 
 
 def _cmd_selftest(args) -> int:

@@ -133,10 +133,16 @@ class TestSelftest:
             "selftest: 8/8 passed\n"
         )
 
-    def test_every_table_row_has_an_attack_check(self):
-        """The two attack checks pick their rows by the kind that starts a row's
-        name; a row of another kind would go unchecked until it gets a check."""
-        assert {row.split("-")[0] for row in ATTACK_TABLE} == {"replay", "ephemeral"}
+    def test_every_table_row_has_an_attack_check(self, capsys):
+        """The CLI's attack kinds are the table's row-name prefixes in first-seen
+        order, each kind runs its rows' runner, and the selftest checks each kind."""
+        kinds = list(dict.fromkeys(row.split("-")[0] for row in ATTACK_TABLE))
+        assert list(cli._ATTACKS) == kinds
+        for row, (runner, *_) in ATTACK_TABLE.items():
+            assert cli._ATTACKS[row.split("-")[0]] is runner
+        _, out, _ = run(capsys, "selftest")
+        assert [line for line in out.splitlines() if line.endswith("-matrix")] == [
+            f"PASS {kind}-matrix" for kind in kinds]
 
     @pytest.mark.parametrize("row, check", [
         ("replay-flawed-no-rewrite", "replay-matrix"),

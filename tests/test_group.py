@@ -283,6 +283,8 @@ class TestIsOnCurve:
 
     def test_out_of_field_coordinates(self):
         assert not TOY_CURVE.is_on_curve(Point(5, 18))
+        # x = p: (0, 6) is on TOY, so only the range test rejects (17, 6).
+        assert not TOY_CURVE.is_on_curve(Point(17, 6))
 
 
 class TestPointCodec:

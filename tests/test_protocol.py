@@ -1,4 +1,5 @@
 import hashlib
+from itertools import accumulate
 
 import pytest
 
@@ -173,10 +174,14 @@ class TestWireCodec:
         assert int.from_bytes(wire[-8:], "big") == 100
 
     def test_every_truncation_rejected(self):
+        """Every cut is rejected, and one that ends a byte into any of the six
+        length prefixes is rejected by the prefix check itself."""
         _, msg, _ = seeded_message(1, Variant.FIXED)
         wire = encode_message(TOY_CURVE, msg)
+        prefix_starts = list(accumulate((2 + len(f) for f in fields_of(wire)), initial=1))[:-1]
         for cut in range(len(wire)):
-            with pytest.raises(MalformedMessage):
+            match = "truncated length prefix" if cut - 1 in prefix_starts else None
+            with pytest.raises(MalformedMessage, match=match):
                 decode_message(TOY_CURVE, wire[:cut])
 
     def test_trailing_bytes_rejected(self):
@@ -188,8 +193,9 @@ class TestWireCodec:
     def test_wrong_version_rejected(self):
         _, msg, _ = seeded_message(1, Variant.FIXED)
         wire = encode_message(TOY_CURVE, msg)
-        with pytest.raises(MalformedMessage):
-            decode_message(TOY_CURVE, b"\x02" + wire[1:])
+        for version in [0x00, 0x02]:
+            with pytest.raises(MalformedMessage, match="unsupported version byte"):
+                decode_message(TOY_CURVE, bytes([version]) + wire[1:])
 
     def test_bad_utf8_sender_rejected(self):
         """Invalid bytes, a lone continuation byte and an encoded surrogate
