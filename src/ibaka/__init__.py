@@ -2,11 +2,11 @@
 
 A two-message key agreement over a short-Weierstrass curve, signed with an
 El Gamal-type identity-based signature.  The package ships both the FLAWED
-variant, whose timestamp is not covered by the signature, and the FIXED
-variant that hashes it, plus a deterministic simulator that demonstrates the
-replay and ephemeral-key-compromise attacks against FLAWED and their defeat
-under FIXED.  The names imported below are the public API, and
-`from ibaka import *` also binds the five submodules.
+and the FIXED variant (`ibs._H2_FIELDS` names what each one signs), plus a
+deterministic simulator that demonstrates the replay and
+ephemeral-key-compromise attacks against FLAWED and their defeat under
+FIXED.  The names imported below are the public API, and `from ibaka import
+*` also binds the five submodules.
 """
 
 from .group import (

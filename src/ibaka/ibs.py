@@ -6,9 +6,7 @@ entity's long-term key pair from its text identity.  Signatures are triples
 key.  Verification recovers the signer's ephemeral commitment X from (mu, h,
 R) in ``_recovered_commitment``, its one statement, and recomputes the digest.
 
-Two protocol variants share this code.  FLAWED hashes (sender, recipient, Y,
-R, X) only, leaving the message timestamp outside the signature; FIXED
-appends the timestamp as a sixth hash field, which is the entire repair.
+Two protocol variants share this code; `_H2_FIELDS` names what each signs.
 
 All hash inputs are length-prefixed (2-byte big-endian) and domain-separated
 by a leading byte, so no two distinct field sequences collide by
@@ -38,7 +36,7 @@ class InvalidIdentity(ValueError):
 
 
 class Variant(Enum):
-    """FLAWED = timestamp outside the signed digest; FIXED = timestamp inside."""
+    """The protocol variants; `_H2_FIELDS` names the fields each one signs."""
 
     FLAWED = "flawed"
     FIXED = "fixed"
@@ -97,19 +95,29 @@ def h1_scalar(curve: Curve, identity: str, R: Point) -> int:
     return digest_to_scalar(digest, curve.q)
 
 
+# The fields each variant's signature digest H2 binds, in hashing order.
+# FIXED binds the timestamp t as well, and that is the entire repair: under
+# FLAWED anyone on the wire can rewrite t, so a stale message verifies as new.
+# `_h2_digest` encodes all six fields under every variant, so t must fit in
+# 64 bits even where it is not hashed.
+_H2_FIELDS = {
+    Variant.FLAWED: ("sender", "recipient", "Y", "R", "X"),
+    Variant.FIXED: ("sender", "recipient", "Y", "R", "X", "t"),
+}
+
+
 def _h2_digest(curve, sender, recipient, Y, R, X, ticks, variant):
-    fields = [
-        identity_bytes(sender),
-        identity_bytes(recipient),
-        curve.encode_point(Y),
-        curve.encode_point(R),
-        curve.encode_point(X),
-    ]
-    if variant is Variant.FIXED:
-        fields.append(ticks_to_bytes(ticks))
-    elif variant is not Variant.FLAWED:
+    if not isinstance(variant, Variant):
         raise ValueError(f"unknown variant {variant!r}")
-    return hash_fields(DOMAIN_H2, *fields)
+    encoded = {
+        "sender": identity_bytes(sender),
+        "recipient": identity_bytes(recipient),
+        "Y": curve.encode_point(Y),
+        "R": curve.encode_point(R),
+        "X": curve.encode_point(X),
+        "t": ticks_to_bytes(ticks),
+    }
+    return hash_fields(DOMAIN_H2, *(encoded[name] for name in _H2_FIELDS[variant]))
 
 
 def pkg_setup(curve: Curve, rng) -> MasterKeyPair:
@@ -144,8 +152,7 @@ def sign(
     """Sign an outgoing message body; returns the signature and the ephemeral X.
 
     mu = x + h*s mod q for a one-time scalar x with commitment X = x*gen.
-    The digest h covers (sender, recipient, Y, R, X), plus the timestamp
-    under Variant.FIXED.
+    The digest h covers the fields `_H2_FIELDS` names for the variant.
     """
     curve = keys.curve
     x = rng.scalar(curve.q)

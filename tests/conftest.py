@@ -1,14 +1,15 @@
 """Shared test inputs: the curve files, one seeded message and one rejection rule.
 
 `seeded_message(seed, variant, now)` is the draw rule of
-golden/toy_messages.txt.  One DeterministicRandom(seed) draws the PKG master
+golden/toy_messages.txt (on TOY_CURVE unless `curve` names another).  One DeterministicRandom(seed) draws the PKG master
 key, the server's key and the client's key (`sim._extracted` with SERVER_ID,
 then CLIENT_ID), then the server's message to the client (`build_message`:
 the ephemeral y, then the signature's x).  A test that needs more draws makes
 them after these, so every seeded message stays the same.
 
 `rejected(wire, master, variant, now)` is True when the client's decode and
-verify of `wire` at `now` raises a `ProtocolError`.  Any other exception
+verify of `wire` at `now` (on TOY_CURVE unless `curve` names another) raises a
+`ProtocolError`.  Any other exception
 escapes, so an off-curve point that leaves the codec unwrapped fails the test.
 """
 
@@ -46,18 +47,18 @@ def production_curve():
     return load_curve_file(SECP256K1_FILE)
 
 
-def seeded_message(seed, variant, now=100):
-    """(master, msg, y): the server's TOY message to the client, stamped `now`."""
-    rng, master, [server, _] = _extracted(seed, TOY_CURVE, SERVER_ID, CLIENT_ID)
+def seeded_message(seed, variant, now=100, curve=TOY_CURVE):
+    """(master, msg, y): the server's message to the client, stamped `now`."""
+    rng, master, [server, _] = _extracted(seed, curve, SERVER_ID, CLIENT_ID)
     msg, y = build_message(server, CLIENT_ID, now, variant, rng)
     return master, msg, y
 
 
-def rejected(wire, master, variant, now):
+def rejected(wire, master, variant, now, curve=TOY_CURVE):
     """Whether the client rejects `wire` at `now` with a ProtocolError."""
     try:
-        msg = decode_message(TOY_CURVE, wire)
-        verify_message(TOY_CURVE, msg, CLIENT_ID, master.public, now, DEFAULT_WINDOW, variant)
+        msg = decode_message(curve, wire)
+        verify_message(curve, msg, CLIENT_ID, master.public, now, DEFAULT_WINDOW, variant)
     except ProtocolError:
         return True
     return False

@@ -116,7 +116,7 @@ def _field_length(wire, field):
     return end - start
 
 
-def _substitutes(msg):
+def _substitutes(msg, curve=TOY_CURVE):
     """Well-formed messages that differ from msg in one signed field: the
     sender, Y, R or mu.  Byte tampers of these fields mostly end in the codec;
     the substitutes decode, so only the signature can reject them.  2*u, not
@@ -124,9 +124,9 @@ def _substitutes(msg):
     sig = msg.sig
     return [
         msg._replace(sender_id="server-2"),
-        msg._replace(Y=TOY_CURVE.mul(2, msg.Y)),
-        msg._replace(sig=sig._replace(R=TOY_CURVE.mul(2, sig.R))),
-        msg._replace(sig=sig._replace(mu=(sig.mu + 1) % TOY_CURVE.q)),
+        msg._replace(Y=curve.mul(2, msg.Y)),
+        msg._replace(sig=sig._replace(R=curve.mul(2, sig.R))),
+        msg._replace(sig=sig._replace(mu=(sig.mu + 1) % curve.q)),
     ]
 
 

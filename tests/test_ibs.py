@@ -150,6 +150,17 @@ class TestSignVerify:
             assert verify_signature(c, sig, SERVER_ID, CLIENT_ID, Y, 100, master.public, variant)
             assert _recovered_commitment(c, sig, SERVER_ID, master.public) == X
 
+    @pytest.mark.parametrize("variant", Variant)
+    @pytest.mark.parametrize("ticks", [-1, 1 << 64])
+    def test_ticks_outside_64_bits_rejected(self, variant, ticks):
+        """H2 encodes all six fields under every variant, so FLAWED, which
+        does not hash t, refuses a t that the wire cannot carry, as FIXED does."""
+        master, keys, Y, sig, _ = seeded_signature(1, variant)
+        with pytest.raises(ValueError, match="outside unsigned 64-bit range"):
+            sign(keys, CLIENT_ID, Y, ticks, variant, ScalarSequence(3))
+        with pytest.raises(ValueError, match="outside unsigned 64-bit range"):
+            verify_signature(TOY_CURVE, sig, SERVER_ID, CLIENT_ID, Y, ticks, master.public, variant)
+
     def test_sign_rejects_unknown_variant(self):
         # A string is not a Variant; it must not sign as FLAWED.
         _, keys, rng = make_signer(1)
