@@ -49,7 +49,6 @@ from .protocol import (
     StaleTimestamp,
     TamperField,
     build_message,
-    check_freshness,
     decode_message,
     derive_session_key,
     encode_message,

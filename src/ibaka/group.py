@@ -468,7 +468,6 @@ class Curve(namedtuple("Curve", "p a b gx gy q")):
         for beta in (beta, beta * beta % p):
             if x == beta * self.gx * zz % p and y == self.gy * zz * z % p:
                 return beta, lam, _glv_basis(q, lam)
-        return None
 
     def mul(self, k: int, u: Point) -> Point:
         """k-fold sum of u; negative k multiplies -u.

@@ -107,11 +107,6 @@ def build_message(
     return ProtocolMessage(keys.identity, Y, sig, now), y
 
 
-def check_freshness(t: int, now: int, window: int) -> bool:
-    """True iff t lies within the symmetric window around now."""
-    return now - window <= t <= now + window
-
-
 def verify_message(
     curve: Curve,
     msg: ProtocolMessage,
@@ -124,12 +119,12 @@ def verify_message(
     """Freshness first, then the signature, with the verifier's own identity
     as recipient (it is never taken from the wire); returns `msg` once verified.
 
-    Raises StaleTimestamp, FutureTimestamp, or BadSignature; distinguishable
-    so attack reports can name the defeating check.
-    """
-    if not check_freshness(msg.t, now, window):
-        if msg.t < now:
-            raise StaleTimestamp(f"t={msg.t} older than {now}-{window}")
+    Raises StaleTimestamp if msg.t < now - window, FutureTimestamp if
+    msg.t > now + window, else BadSignature if the signature fails; distinct
+    types, so attack reports can name the defeating check."""
+    if msg.t < now - window:
+        raise StaleTimestamp(f"t={msg.t} older than {now}-{window}")
+    if msg.t > now + window:
         raise FutureTimestamp(f"t={msg.t} beyond {now}+{window}")
     ok = verify_signature(
         curve, msg.sig, msg.sender_id, self_id, msg.Y, msg.t, master_public, variant

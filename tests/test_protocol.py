@@ -13,7 +13,6 @@ from ibaka.protocol import (
     OffCurvePoint,
     StaleTimestamp,
     build_message,
-    check_freshness,
     decode_message,
     derive_session_key,
     encode_message,
@@ -44,21 +43,37 @@ def wire_from(fields):
     return bytes(out)
 
 
-class TestCheckFreshness:
-    def test_inside_window(self):
-        assert check_freshness(100, 105, 10)
+class TestFreshness:
+    """verify_message's window edges, on a FLAWED message stamped t = 100 with
+    window 10: t must lie in [now - 10, now + 10]."""
 
-    def test_too_old(self):
-        assert not check_freshness(100, 120, 10)
+    @staticmethod
+    def verify_at(now, window=10, t=100):
+        master, msg, _ = seeded_message(11, Variant.FLAWED, now=100)
+        return verify_message(
+            TOY_CURVE, msg._replace(t=t), CLIENT_ID, master.public, now, window, Variant.FLAWED
+        )
 
-    def test_too_far_in_future(self):
-        assert not check_freshness(130, 100, 10)
+    def test_t_past_now_plus_window_is_future(self):
+        with pytest.raises(FutureTimestamp, match=r"^t=100 beyond 89\+10$"):
+            self.verify_at(89)
 
-    def test_window_edges(self):
-        assert check_freshness(90, 100, 10)
-        assert check_freshness(110, 100, 10)
-        assert not check_freshness(89, 100, 10)
-        assert not check_freshness(111, 100, 10)
+    def test_t_at_now_plus_window_verifies(self):
+        assert self.verify_at(90).t == 100
+
+    def test_t_at_now_minus_window_verifies(self):
+        assert self.verify_at(110).t == 100
+
+    def test_t_before_now_minus_window_is_stale(self):
+        with pytest.raises(StaleTimestamp, match=r"^t=100 older than 111-10$"):
+            self.verify_at(111)
+
+    def test_negative_window_rejects_every_t(self):
+        # now + window < now - window, so no t is fresh: t < now - window = 105
+        # is stale, and the rest is future.
+        for t in range(90, 111):
+            with pytest.raises(StaleTimestamp if t < 105 else FutureTimestamp):
+                self.verify_at(100, window=-5, t=t)
 
 
 class TestBuildAndVerify:
