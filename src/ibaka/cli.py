@@ -49,7 +49,7 @@ def _u64(text: str) -> int:
 _ATTACKS = {name.split("-")[0]: run for name, (run, *_) in sim.ATTACK_TABLE.items()}
 
 # The shared options, declared once; subcommands pick theirs by name in help
-# order.  keygen declares its own --output, whose help names a key file.
+# order.
 _OPTIONS = {
     "variant": dict(choices=[v.value for v in Variant], default=Variant.FLAWED.value,
                     help="protocol variant (default: flawed)"),
@@ -60,7 +60,7 @@ _OPTIONS = {
                   help="ticks between interception and replay (default: %(default)s)"),
     "id": dict(default=sim.SERVER_ID, help="identity to extract"),
     "curve": dict(default="TOY", help="TOY or path to a curve-parameter file (default: TOY)"),
-    "output": dict(default=None, help="write the report to a file"),
+    "output": dict(default=None, help="write to this file instead of stdout"),
     "expect": dict(choices=[o.name.lower() for o in Outcome],
                    help="exit 1 unless the attack outcome matches"),
 }
@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "keygen", help="PKG setup plus key extraction, written as a key file"
     )
     keygen.set_defaults(handler=_cmd_keygen)
-    _add_options(keygen, "seed", "id", "curve")
-    keygen.add_argument("--output", default=None, help="write the key file here")
+    _add_options(keygen, "seed", "id", "curve", "output")
     return parser
 
 
@@ -189,15 +188,19 @@ def _selftest_checks():
         return all(curve.decode_point(curve.encode_point(u)) == u
                    for u in multiples(curve, curve.gen, curve.q))
 
+    def signed_messages(variant, seeds):
+        # Per seed, the PKG and the server's message to the client on the
+        # clock's first tick: the seeded set-up, then build_message.
+        for seed in seeds:
+            rng, master, [keys] = sim._extracted(seed, curve, sim.SERVER_ID)
+            msg, _ = build_message(keys, sim.CLIENT_ID, sim.START_TICKS, variant, rng)
+            yield master, msg
+
     def signature_round_trip():
-        for variant in Variant:
-            for seed in range(1, 51):
-                rng, master, [keys] = sim._extracted(seed, curve, sim.SERVER_ID)
-                msg, _ = build_message(keys, sim.CLIENT_ID, 100, variant, rng)
-                if not verify_signature(curve, msg.sig, keys.identity, sim.CLIENT_ID,
-                                        msg.Y, 100, master.public, variant):
-                    return False
-        return True
+        return all(verify_signature(curve, msg.sig, sim.SERVER_ID, sim.CLIENT_ID, msg.Y,
+                                    sim.START_TICKS, master.public, variant)
+                   for variant in Variant
+                   for master, msg in signed_messages(variant, range(1, 51)))
 
     def honest_exchanges():
         return all(run_honest_exchange(seed, variant, order).keys_equal
@@ -214,16 +217,13 @@ def _selftest_checks():
 
     def message_codec():
         # Each message decodes to itself, and without its last byte not at all.
-        for seed in range(1, 26):
-            rng, _, [keys] = sim._extracted(seed, curve, sim.SERVER_ID)
-            msg, _ = build_message(keys, sim.CLIENT_ID, 100, Variant.FIXED, rng)
+        for _, msg in signed_messages(Variant.FIXED, range(1, 26)):
             wire = encode_message(curve, msg)
-            if decode_message(curve, wire) != msg:
-                return False
-            try:
-                decode_message(curve, wire[:-1])
-            except MalformedMessage:
-                continue
+            if decode_message(curve, wire) == msg:
+                try:
+                    decode_message(curve, wire[:-1])
+                except MalformedMessage:
+                    continue
             return False
         return True
 

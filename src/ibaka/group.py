@@ -94,11 +94,6 @@ class Point(namedtuple("Point", "x y")):
     def is_identity(self) -> bool:
         return self.x is None
 
-    def __repr__(self):
-        if self.is_identity:
-            return "Point(identity)"
-        return f"Point({self.x}, {self.y})"
-
 
 IDENTITY = Point(None, None)
 

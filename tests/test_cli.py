@@ -116,10 +116,31 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert path.read_bytes() == stdout_text.encode("utf-8")
 
+    def test_every_command_prints_one_output_option(self, capsys):
+        """--output is declared once, so each command's help shows the same
+        line for it, up to the column its help text starts in."""
+        lines = set()
+        for command in ("demo", "attack", "selftest", "keygen"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0
+            lines.update(" ".join(line.split()) for line in out.splitlines()
+                         if line.lstrip().startswith("--output"))
+        assert lines == {"--output OUTPUT write to this file instead of stdout"}
+
+
+@pytest.fixture(scope="class")
+def selftest_run():
+    """(exit status, stdout) of one unpatched selftest, shared by the tests
+    that read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["selftest"])
+    return code, out.getvalue()
+
 
 class TestSelftest:
-    def test_all_checks_pass(self, capsys):
-        code, out, _ = run(capsys, "selftest")
+    def test_all_checks_pass(self, selftest_run):
+        code, out = selftest_run
         assert code == 0
         assert out == (
             "PASS group-laws\n"
@@ -133,14 +154,14 @@ class TestSelftest:
             "selftest: 8/8 passed\n"
         )
 
-    def test_every_table_row_has_an_attack_check(self, capsys):
+    def test_every_table_row_has_an_attack_check(self, selftest_run):
         """The CLI's attack kinds are the table's row-name prefixes in first-seen
         order, each kind runs its rows' runner, and the selftest checks each kind."""
         kinds = list(dict.fromkeys(row.split("-")[0] for row in ATTACK_TABLE))
         assert list(cli._ATTACKS) == kinds
         for row, (runner, *_) in ATTACK_TABLE.items():
             assert cli._ATTACKS[row.split("-")[0]] is runner
-        _, out, _ = run(capsys, "selftest")
+        _, out = selftest_run
         assert [line for line in out.splitlines() if line.endswith("-matrix")] == [
             f"PASS {kind}-matrix" for kind in kinds]
 
@@ -187,6 +208,24 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {check}"]
+        assert out.endswith("selftest: 7/8 passed\n")
+
+    def test_a_whole_wire_that_decodes_to_another_message_fails_message_codec(
+        self, capsys, monkeypatch
+    ):
+        """message-codec compares each decoded message with the one encoded: a
+        decoder that shifts t fails it, though it still rejects a truncated wire."""
+        decode_message = cli.decode_message
+
+        def shifts_t(curve, wire):
+            msg = decode_message(curve, wire)
+            return msg._replace(t=msg.t + 1)
+
+        monkeypatch.setattr(cli, "decode_message", shifts_t)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL message-codec"]
         assert out.endswith("selftest: 7/8 passed\n")
 
     def test_a_check_that_raises_fails_and_the_report_is_written(
